@@ -1,13 +1,19 @@
 # Targets mirror the CI jobs (.github/workflows/ci.yml); `make build
 # test` is the tier-1 verify.
 
-.PHONY: build test bench bench-engine bench-rebalance bench-delete bench-repair bench-workload bench-compare bench-sstable fuzz-smoke deploy-smoke lint
+.PHONY: build test perfbench-test bench bench-engine bench-rebalance bench-delete bench-repair bench-workload bench-compare bench-sstable fuzz-smoke deploy-smoke lint
 
 build:
 	go build ./...
 
 test:
 	go test -race -shuffle=on ./...
+
+# The repo benchmark (perfbench/) is its own Go module, so the root
+# `go vet ./...` and `go test ./...` never build it; this keeps a
+# library API change from breaking it unnoticed.
+perfbench-test:
+	cd perfbench && go vet ./... && go test ./...
 
 bench:
 	go test -run=NONE -bench=. -benchtime=1x ./...

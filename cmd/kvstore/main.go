@@ -345,8 +345,8 @@ func client(args []string) {
 		if err != nil {
 			die(err)
 		}
-		fmt.Printf("repair: %d ranges, %d pairs, %d digests, %d leaf mismatches, %d cells shipped (%d legacy skipped) in %s\n",
-			rep.Ranges, rep.Pairs, rep.DigestRPCs, rep.LeafMismatches, rep.CellsShipped, rep.SkippedLegacy, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("repair: %d ranges, %d pairs, %d digests, %d leaf mismatches, %d cells shipped in %s\n",
+			rep.Ranges, rep.Pairs, rep.DigestRPCs, rep.LeafMismatches, rep.CellsShipped, time.Since(start).Round(time.Millisecond))
 	default:
 		fs.Usage()
 		os.Exit(2)

@@ -153,7 +153,7 @@
 // deletes propagate too — at its original version, to the replicas it
 // skipped. LWW makes the repair harmless (a replica holding something
 // newer keeps it); it narrows divergence after an outage but repairs
-// only what failover reads touch and never pre-versioning cells.
+// only what failover reads touch.
 //
 // # Anti-entropy: digest-tree replica repair
 //
@@ -178,18 +178,16 @@
 //	fmt.Println(report.CellsShipped, report.LeafMismatches)
 //
 // Client.RepairRange / Client.RepairAll run the same pass from any
-// client (cmd/kvstore exposes it as the `repair` subcommand, one-shot
-// or periodic via -repair-every). Divergent cells written before
-// versioning are left alone — their zero versions cannot be ordered —
-// and are counted in the report.
+// client (cmd/kvstore exposes it as the one-shot `repair` subcommand);
+// nodes also schedule their own passes (`kvstore serve
+// -repair-interval`).
 //
 // On disk, tables are SSTable format v3 (sorted data blocks with
 // restart-point prefix compression, per-block CRCs, a block index and
 // partition directory fetched on first use — docs/sstable-format.md is
-// the full layout). Tables written by earlier revisions stay readable
-// — v1 cells carry the zero version and lose to any stamped write —
-// and compaction rewrites them to v3 as they participate in merges;
-// the SHARDS manifest records the format generation.
+// the full layout), the only generation the engine reads: the SHARDS
+// manifest records it, and a directory or table of an earlier
+// generation fails Open with a "pre-v3" error — re-ingest such data.
 //
 // Durability is tunable per node via StorageOptions.Sync: SyncNever
 // (default; fsync only at segment close), SyncOnSeal (fsync when a

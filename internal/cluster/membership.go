@@ -25,6 +25,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
 	"sync"
@@ -315,14 +316,16 @@ func (n *Node) kickRepair() {
 func (n *Node) repairLoop() {
 	defer n.loopWg.Done()
 	rnd := rand.New(rand.NewSource(time.Now().UnixNano() ^ (int64(n.id) << 16)))
-	for {
+	for pass := 1; ; pass++ {
 		select {
 		case <-n.stop:
 			return
 		case <-time.After(jittered(rnd, n.repairInterval)):
 		case <-n.repairKick:
 		}
-		n.RepairNow()
+		if _, err := n.RepairNow(); err != nil {
+			slog.Warn("cluster: repair pass failed", "node", n.id, "pass", pass, "err", err)
+		}
 	}
 }
 

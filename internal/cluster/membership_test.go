@@ -8,10 +8,14 @@ package cluster
 // fabric shortcut.
 
 import (
+	"bytes"
 	"fmt"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -498,5 +502,62 @@ func TestTopologyFilePersistence(t *testing.T) {
 	}
 	if _, _, _, err := loadTopologyFile(dir); err == nil {
 		t.Fatal("corrupted topology file loaded without error")
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for concurrent log writers.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRingInstallLogsPersistFailure: a node that cannot persist its
+// epoch says so. A directory squatting on the topology file's temp path
+// leaves the data directory unwritable for the snapshot — for any user,
+// root included — so the install's save fails; the flip still takes
+// effect in memory and the failure reaches the default slog handler.
+func TestRingInstallLogsPersistFailure(t *testing.T) {
+	var logs lockedBuffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+
+	l, err := transport.ListenTCP("127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	node, err := StartNode(l, NodeOptions{ID: 3, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	if err := os.Mkdir(filepath.Join(dir, topologyFileName+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	topo := hashring.FromNodes(5, []hashring.NodeID{3}, 16)
+	node.installRing(topo, map[hashring.NodeID]string{3: l.Addr()}, 1, true)
+
+	if got := node.Topology().Epoch(); got != 5 {
+		t.Fatalf("install did not take effect: epoch %d, want 5", got)
+	}
+	out := logs.String()
+	for _, want := range []string{"topology persist failed", "node=3", "epoch=5", "err="} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("log lacks %q:\n%s", want, out)
+		}
 	}
 }

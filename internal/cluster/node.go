@@ -20,6 +20,7 @@ package cluster
 
 import (
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -238,9 +239,9 @@ func StartNode(l transport.Listener, opts NodeOptions) (*Node, error) {
 
 // installRing atomically swaps the node's membership view and, when
 // persist is set and the node has a data directory, writes it to the
-// topology file so a restart resumes at this epoch. Persist failures
-// are swallowed: the in-memory flip must not fail (the cluster has
-// already committed it); the node merely restarts at an older epoch
+// topology file so a restart resumes at this epoch. A persist failure
+// is logged, not returned: the in-memory flip must not fail (the cluster
+// has already committed it); the node merely restarts at an older epoch
 // and catches up via its first ring refresh.
 func (n *Node) installRing(topo *hashring.Topology, addrs map[hashring.NodeID]string, rf int, persist bool) {
 	if rf <= 0 {
@@ -248,7 +249,9 @@ func (n *Node) installRing(topo *hashring.Topology, addrs map[hashring.NodeID]st
 	}
 	n.ring.Store(&ringState{topo: topo, addrs: copyAddrs(addrs), rf: rf})
 	if persist && n.dir != "" {
-		_ = saveTopologyFile(n.dir, topo, addrs, rf)
+		if err := saveTopologyFile(n.dir, topo, addrs, rf); err != nil {
+			slog.Warn("cluster: topology persist failed", "node", n.id, "epoch", topo.Epoch(), "err", err)
+		}
 	}
 }
 

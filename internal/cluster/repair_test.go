@@ -161,9 +161,6 @@ func TestRepairConvergesDivergedReplicas(t *testing.T) {
 	if rep2.CellsShipped != 0 {
 		t.Fatalf("second repair pass shipped %d cells over a converged cluster", rep2.CellsShipped)
 	}
-	if rep2.SkippedLegacy != 0 {
-		t.Fatalf("second repair pass skipped %d legacy cells out of nowhere", rep2.SkippedLegacy)
-	}
 }
 
 // TestRepairConvergesAtRF3 exercises the second sweep: with three

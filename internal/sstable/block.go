@@ -9,7 +9,7 @@ import (
 	"scalekv/internal/row"
 )
 
-// This file is the v3 data-block codec: restart-point prefix-compressed
+// This file is the data-block codec: restart-point prefix-compressed
 // cell entries with a per-block CRC, in the LevelDB/KevoDB tradition,
 // optionally LZ-compressed on disk (see compress.go).
 //
@@ -43,12 +43,15 @@ import (
 //	key suffix | value | seq uvarint | node uvarint | flags byte
 
 const (
-	// DefaultBlockSize is the target size of a v3 data block: small
+	// DefaultBlockSize is the target size of a data block: small
 	// enough that a cold point read transfers little more than it needs,
 	// large enough to amortize the per-block CRC and index entry.
 	DefaultBlockSize = 4 << 10
 
 	blockRestartInterval = 16
+
+	// flagTombstone is the entry flags bit marking a deletion.
+	flagTombstone = byte(1)
 
 	// Stored-block flag byte values. 0x00 is reserved: it identifies a
 	// pre-compression block (see the layout comment above).
@@ -56,7 +59,7 @@ const (
 	blockFlagLZ  = byte(0x02)
 )
 
-// Compression selects the on-disk block codec of a v3 table.
+// Compression selects the on-disk block codec of a table.
 type Compression int
 
 const (

@@ -2,10 +2,8 @@
 // storage engine, modelled on Cassandra's SSTable as the paper depends on
 // it.
 //
-// Three format revisions coexist; the reader serves all of them, the
-// writer defaults to the newest.
-//
-// v3 (current) is block-based:
+// Tables are block-based (format revision 3, the only one this package
+// reads or writes):
 //
 //	"SKVT" | data blocks | block index | partition directory | bloom | footer
 //
@@ -17,25 +15,20 @@
 // reads only the footer and the bloom filter, and a cold point read
 // costs one meta ReadAt plus one data-block ReadAt instead of a
 // whole-partition transfer. The footer carries the section offsets, the
-// entry and partition counts, and the table's maximum version sequence.
-//
-// v1/v2 are the older flat layouts ("SKVT" | partition records |
-// partition index | bloom | footer): the whole partition index loads at
-// Open, and a point read fetches the partition record. v1 cells carry no
-// versions; v2 appends each cell's (seq, node) version and a flags byte
-// and records max-seq in its footer. The footer terminator tells the
-// revisions apart: "SKVT" (v1), "SKV2", "SKV3".
+// entry and partition counts, and the table's maximum version sequence,
+// and ends in "SKV3". Open refuses files of the older flat revisions
+// (footer ending "SKVT" or "SKV2") with ErrCorrupt.
 //
 // The detail that matters for the paper's Formula 6 is the sparse
-// intra-partition index — Cassandra's column_index_size_in_kb. In v1/v2
-// a partition larger than ColumnIndexSize carries a per-chunk column
-// index; in v3 the block index plays that role (a partition spanning
-// several blocks can be sliced from the middle without scanning from its
-// start). That asymmetry is exactly the discontinuity at ~1425
-// rows/64KB the paper measured in Figure 6 and folded into its
-// piecewise database model. A negative ColumnIndexSize disables
-// intra-partition seeking in every revision (the ablation knob): v3 then
-// never splits a partition across blocks.
+// intra-partition index — Cassandra's column_index_size_in_kb. The block
+// index plays that role: a partition spanning several blocks can be
+// sliced from the middle without scanning from its start, while a small
+// partition sits whole inside one block and is always scanned from its
+// first cell. That asymmetry is exactly the discontinuity at ~1425
+// rows/64KB the paper measured in Figure 6 and folded into its piecewise
+// database model. A negative ColumnIndexSize disables intra-partition
+// seeking (the ablation knob): a partition is then never split across
+// blocks.
 package sstable
 
 import (
@@ -46,34 +39,20 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"scalekv/internal/bloom"
 	"scalekv/internal/enc"
 	"scalekv/internal/row"
 )
 
-// DefaultColumnIndexSize matches Cassandra's column_index_size_in_kb
-// default of 64KB.
-const DefaultColumnIndexSize = 64 << 10
-
 var (
-	magic   = []byte("SKVT") // header, and v1 footer terminator
-	magicV2 = []byte("SKV2") // v2 footer terminator
-	magicV3 = []byte("SKV3") // v3 footer terminator
+	magic   = []byte("SKVT") // file header
+	magicV3 = []byte("SKV3") // footer terminator
 )
 
-const (
-	footerSizeV1 = 8 + 8 + 8 + 4 + 4     // indexOff, bloomOff, count, crc, magic
-	footerSizeV2 = 8 + 8 + 8 + 8 + 4 + 4 // + maxSeq before the crc
-	// v3: blockIdxOff, partDirOff, bloomOff, entryCount, partCount,
-	// maxSeq, metaCRC, bloomCRC, footerCRC, magic.
-	footerSizeV3 = 6*8 + 3*4 + 4
-)
-
-const flagTombstone = byte(1)
+// footerSizeV3 covers blockIdxOff, partDirOff, bloomOff, entryCount,
+// partCount, maxSeq, metaCRC, bloomCRC, footerCRC and the terminator.
+const footerSizeV3 = 6*8 + 3*4 + 4
 
 // ErrCorrupt reports a structurally invalid SSTable file.
 var ErrCorrupt = errors.New("sstable: corrupt file")
@@ -81,22 +60,14 @@ var ErrCorrupt = errors.New("sstable: corrupt file")
 // ErrNotFound reports a partition absent from the table.
 var ErrNotFound = errors.New("sstable: partition not found")
 
-// indexEntry locates one partition inside a v1/v2 data section.
-type indexEntry struct {
-	pk     string
-	offset uint64
-	size   uint64 // total bytes of the partition record
-	cells  uint64
-}
-
-// blockIndexEntry locates one v3 data block.
+// blockIndexEntry locates one data block.
 type blockIndexEntry struct {
 	firstKey []byte // internal key of the block's first cell
 	offset   uint64
 	length   uint64
 }
 
-// partDirEntry is one v3 partition-directory record.
+// partDirEntry is one partition-directory record.
 type partDirEntry struct {
 	pk    string
 	cells uint64
@@ -106,20 +77,14 @@ type partDirEntry struct {
 // partition-key byte order with cells sorted by clustering key; the
 // memtable flush path provides exactly that.
 type Writer struct {
-	f               *os.File
-	w               *countingWriter
-	format          int
-	filter          *bloom.Filter
-	columnIndexSize int
-	lastPK          string
-	started         bool
-	maxSeq          uint64
-	err             error
+	f       *os.File
+	w       *countingWriter
+	filter  *bloom.Filter
+	lastPK  string
+	started bool
+	maxSeq  uint64
+	err     error
 
-	// v1/v2 flat layout.
-	index []indexEntry
-
-	// v3 block layout.
 	blockSize   int
 	noSplit     bool // negative ColumnIndexSize: never split a partition across blocks
 	compression Compression
@@ -140,37 +105,29 @@ type Writer struct {
 
 // WriterOptions configures SSTable construction.
 type WriterOptions struct {
-	// ColumnIndexSize is the chunk granularity of the v1/v2 column
-	// index; 0 means DefaultColumnIndexSize. Negative disables
-	// intra-partition indexes entirely (an ablation knob for the
-	// Figure 6 experiment) — in v3 that means a partition is never
-	// split across blocks, so slices always scan from its start.
+	// ColumnIndexSize switches the intra-partition index; only its sign
+	// matters. Zero or positive lets a partition larger than a block span
+	// several blocks, so the block index can seek into it. Negative
+	// disables intra-partition indexes entirely (an ablation knob for the
+	// Figure 6 experiment): a partition is never split across blocks, so
+	// slices always scan from its start.
 	ColumnIndexSize int
 	// ExpectedPartitions sizes the bloom filter; 0 means 1024.
 	ExpectedPartitions int
 	// BloomFPRate is the target false positive rate; 0 means 1%.
 	BloomFPRate float64
-	// FormatVersion selects the table revision: 0 or 3 writes the
-	// current block-based v3; 1 and 2 write the older flat formats so
-	// compatibility tests can lay down exactly the tables earlier
-	// engines left on disk. v1 predates versioning, so AddPartition
-	// rejects tombstone cells under it.
-	FormatVersion int
-	// BlockSize is the v3 data-block target size in bytes; 0 means
-	// DefaultBlockSize. Ignored by v1/v2.
+	// BlockSize is the data-block target size in bytes; 0 means
+	// DefaultBlockSize.
 	BlockSize int
-	// Compression selects the v3 block codec. The zero value compresses
+	// Compression selects the block codec. The zero value compresses
 	// (DefaultCompression = LZ, with a per-block compressibility probe
 	// that stores incompressible blocks raw); NoCompression is the
-	// escape hatch. Ignored by v1/v2.
+	// escape hatch.
 	Compression Compression
 }
 
 // NewWriter creates an SSTable file at path, truncating any existing one.
 func NewWriter(path string, opts WriterOptions) (*Writer, error) {
-	if opts.ColumnIndexSize == 0 {
-		opts.ColumnIndexSize = DefaultColumnIndexSize
-	}
 	if opts.ExpectedPartitions <= 0 {
 		opts.ExpectedPartitions = 1024
 	}
@@ -180,29 +137,19 @@ func NewWriter(path string, opts WriterOptions) (*Writer, error) {
 	if opts.BlockSize <= 0 {
 		opts.BlockSize = DefaultBlockSize
 	}
-	format := opts.FormatVersion
-	switch format {
-	case 0:
-		format = 3
-	case 1, 2, 3:
-	default:
-		return nil, fmt.Errorf("sstable: unknown format version %d", opts.FormatVersion)
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("sstable: create: %w", err)
 	}
 	w := &Writer{
-		f:               f,
-		w:               &countingWriter{w: f},
-		format:          format,
-		filter:          bloom.NewWithRate(opts.ExpectedPartitions, opts.BloomFPRate),
-		columnIndexSize: opts.ColumnIndexSize,
-		blockSize:       opts.BlockSize,
-		noSplit:         opts.ColumnIndexSize < 0,
-		compression:     opts.Compression,
+		f:           f,
+		w:           &countingWriter{w: f},
+		filter:      bloom.NewWithRate(opts.ExpectedPartitions, opts.BloomFPRate),
+		blockSize:   opts.BlockSize,
+		noSplit:     opts.ColumnIndexSize < 0,
+		compression: opts.Compression,
 	}
-	if format == 3 && w.compression != NoCompression {
+	if w.compression != NoCompression {
 		w.lzTable = new([1 << lzTableBits]int32)
 	}
 	if _, err := w.w.Write(magic); err != nil {
@@ -214,6 +161,13 @@ func NewWriter(path string, opts WriterOptions) (*Writer, error) {
 
 // AddPartition appends one partition. Cells must be sorted by clustering
 // key and the partition key must be greater than any previously added.
+//
+// The cells stream into the open data block, cutting blocks at the
+// target size. A partition that would straddle the current block's
+// budget starts a fresh block instead, so small partitions stay whole
+// inside one block (and report no intra-partition index, Cassandra's
+// column-index threshold semantics); large ones span several blocks and
+// can be sliced from the middle.
 func (w *Writer) AddPartition(pk string, cells []row.Cell) error {
 	if w.err != nil {
 		return w.err
@@ -222,106 +176,98 @@ func (w *Writer) AddPartition(pk string, cells []row.Cell) error {
 		return fmt.Errorf("sstable: partition %q out of order (last %q)", pk, w.lastPK)
 	}
 	w.started, w.lastPK = true, pk
+	est := 0
 	for i := range cells {
 		if i > 0 && bytes.Compare(cells[i-1].CK, cells[i].CK) >= 0 {
 			w.err = fmt.Errorf("sstable: cells out of order in partition %q", pk)
 			return w.err
 		}
+		est += len(cells[i].CK) + len(cells[i].Value) + 16
 	}
-	if w.format == 3 {
-		return w.addPartitionV3(pk, cells)
+	if !w.block.empty() && w.block.size()+est > w.blockSize {
+		if err := w.cutBlock(); err != nil {
+			return err
+		}
 	}
-	return w.addPartitionV12(pk, cells)
-}
-
-// addPartitionV12 writes one flat v1/v2 partition record.
-func (w *Writer) addPartitionV12(pk string, cells []row.Cell) error {
-	// Serialize cells, recording a column-index entry at each chunk
-	// boundary when the partition is large enough to deserve one.
-	var data []byte
-	type colEntry struct {
-		ck     []byte
-		offset uint64
-	}
-	var colIndex []colEntry
-	chunkStart := 0
-	for _, c := range cells {
-		if len(data)-chunkStart >= w.columnIndexSize && w.columnIndexSize > 0 {
-			chunkStart = len(data)
-			colIndex = append(colIndex, colEntry{ck: c.CK, offset: uint64(len(data))})
+	for i := range cells {
+		c := &cells[i]
+		w.keyBuf = enc.AppendInternalKey(w.keyBuf[:0], pk, c.CK)
+		if w.block.empty() {
+			w.blockFirst = append(w.blockFirst[:0], w.keyBuf...)
 		}
-		data = enc.AppendBytes(data, c.CK)
-		data = enc.AppendBytes(data, c.Value)
-		if w.format == 1 {
-			if c.Tombstone {
-				w.err = fmt.Errorf("sstable: tombstone cell in legacy v1 table (partition %q)", pk)
-				return w.err
-			}
-			continue
-		}
-		data = enc.AppendUvarint(data, c.Ver.Seq)
-		data = enc.AppendUvarint(data, uint64(c.Ver.Node))
-		flags := byte(0)
-		if c.Tombstone {
-			flags = flagTombstone
-		}
-		data = append(data, flags)
+		w.block.add(w.keyBuf, c.Value, c.Ver, c.Tombstone)
 		if c.Ver.Seq > w.maxSeq {
 			w.maxSeq = c.Ver.Seq
 		}
-	}
-	// Cassandra semantics: partitions smaller than one chunk carry no
-	// column index at all.
-	hasIndex := len(colIndex) > 0
-
-	var rec []byte
-	rec = enc.AppendBytes(rec, []byte(pk))
-	rec = enc.AppendUvarint(rec, uint64(len(cells)))
-	if hasIndex {
-		rec = append(rec, 1)
-		rec = enc.AppendUvarint(rec, uint64(len(colIndex)))
-		for _, e := range colIndex {
-			rec = enc.AppendBytes(rec, e.ck)
-			rec = enc.AppendUvarint(rec, e.offset)
+		if !w.noSplit && w.block.size() >= w.blockSize {
+			if err := w.cutBlock(); err != nil {
+				return err
+			}
 		}
-	} else {
-		rec = append(rec, 0)
 	}
-	rec = enc.AppendUvarint(rec, uint64(len(data)))
-	rec = append(rec, data...)
-
-	offset := w.w.count
-	if _, err := w.w.Write(rec); err != nil {
-		w.err = err
-		return err
-	}
-	w.index = append(w.index, indexEntry{
-		pk: pk, offset: offset, size: uint64(len(rec)), cells: uint64(len(cells)),
-	})
+	w.entryCount += uint64(len(cells))
+	w.parts = append(w.parts, partDirEntry{pk: pk, cells: uint64(len(cells))})
 	w.filter.AddString(pk)
 	return nil
 }
 
-// Close writes the index sections, bloom filter and footer, then syncs
-// and closes the file. The Writer is unusable afterwards.
+// cutBlock finishes the open block, seals it into its stored form
+// (compressing unless the probe says not to), writes it and records its
+// index entry.
+func (w *Writer) cutBlock() error {
+	if w.block.empty() {
+		return nil
+	}
+	payload := w.block.finishEntries()
+	stored, _ := sealBlock(payload, w.compression, w.lzTable)
+	offset := w.w.count
+	if _, err := w.w.Write(stored); err != nil {
+		w.err = err
+		return err
+	}
+	w.logicalBytes += int64(len(payload))
+	w.storedBytes += int64(len(stored))
+	w.blocks = append(w.blocks, blockIndexEntry{
+		firstKey: append([]byte(nil), w.blockFirst...),
+		offset:   offset,
+		length:   uint64(len(stored)),
+	})
+	w.block.reset()
+	return nil
+}
+
+// Close writes the block index, partition directory, bloom filter and
+// footer, then syncs and closes the file. The Writer is unusable
+// afterwards.
 func (w *Writer) Close() error {
 	if w.err != nil {
 		w.f.Close()
 		return w.err
 	}
-	if w.format == 3 {
-		return w.closeV3()
+	if err := w.cutBlock(); err != nil {
+		w.f.Close()
+		return err
 	}
-	indexOff := w.w.count
+	blockIdxOff := w.w.count
 	var idx []byte
-	idx = enc.AppendUvarint(idx, uint64(len(w.index)))
-	for _, e := range w.index {
-		idx = enc.AppendBytes(idx, []byte(e.pk))
-		idx = enc.AppendUvarint(idx, e.offset)
-		idx = enc.AppendUvarint(idx, e.size)
-		idx = enc.AppendUvarint(idx, e.cells)
+	idx = enc.AppendUvarint(idx, uint64(len(w.blocks)))
+	for _, b := range w.blocks {
+		idx = enc.AppendBytes(idx, b.firstKey)
+		idx = enc.AppendUvarint(idx, b.offset)
+		idx = enc.AppendUvarint(idx, b.length)
+	}
+	var dir []byte
+	dir = enc.AppendUvarint(dir, uint64(len(w.parts)))
+	for _, p := range w.parts {
+		dir = enc.AppendBytes(dir, []byte(p.pk))
+		dir = enc.AppendUvarint(dir, p.cells)
 	}
 	if _, err := w.w.Write(idx); err != nil {
+		w.f.Close()
+		return err
+	}
+	partDirOff := w.w.count
+	if _, err := w.w.Write(dir); err != nil {
 		w.f.Close()
 		return err
 	}
@@ -331,26 +277,20 @@ func (w *Writer) Close() error {
 		w.f.Close()
 		return err
 	}
-	crc := crc32.ChecksumIEEE(idx)
-	crc = crc32.Update(crc, crc32.IEEETable, bf)
+	metaCRC := crc32.ChecksumIEEE(idx)
+	metaCRC = crc32.Update(metaCRC, crc32.IEEETable, dir)
 
-	var footer []byte
-	if w.format == 1 {
-		footer = make([]byte, footerSizeV1)
-		binary.LittleEndian.PutUint64(footer[0:], indexOff)
-		binary.LittleEndian.PutUint64(footer[8:], bloomOff)
-		binary.LittleEndian.PutUint64(footer[16:], uint64(len(w.index)))
-		binary.LittleEndian.PutUint32(footer[24:], crc)
-		copy(footer[28:], magic)
-	} else {
-		footer = make([]byte, footerSizeV2)
-		binary.LittleEndian.PutUint64(footer[0:], indexOff)
-		binary.LittleEndian.PutUint64(footer[8:], bloomOff)
-		binary.LittleEndian.PutUint64(footer[16:], uint64(len(w.index)))
-		binary.LittleEndian.PutUint64(footer[24:], w.maxSeq)
-		binary.LittleEndian.PutUint32(footer[32:], crc)
-		copy(footer[36:], magicV2)
-	}
+	footer := make([]byte, footerSizeV3)
+	binary.LittleEndian.PutUint64(footer[0:], blockIdxOff)
+	binary.LittleEndian.PutUint64(footer[8:], partDirOff)
+	binary.LittleEndian.PutUint64(footer[16:], bloomOff)
+	binary.LittleEndian.PutUint64(footer[24:], w.entryCount)
+	binary.LittleEndian.PutUint64(footer[32:], uint64(len(w.parts)))
+	binary.LittleEndian.PutUint64(footer[40:], w.maxSeq)
+	binary.LittleEndian.PutUint32(footer[48:], metaCRC)
+	binary.LittleEndian.PutUint32(footer[52:], crc32.ChecksumIEEE(bf))
+	binary.LittleEndian.PutUint32(footer[56:], crc32.ChecksumIEEE(footer[:56]))
+	copy(footer[60:], magicV3)
 	if _, err := w.w.Write(footer); err != nil {
 		w.f.Close()
 		return err
@@ -364,8 +304,8 @@ func (w *Writer) Close() error {
 
 // BlockBytes reports the cumulative uncompressed payload size and
 // on-disk stored size of every data block written — the per-table
-// compression ratio. Meaningful for v3 writers, after Close; the engine
-// aggregates it into its compression metrics.
+// compression ratio. Meaningful after Close; the engine aggregates it
+// into its compression metrics.
 func (w *Writer) BlockBytes() (logical, stored int64) {
 	return w.logicalBytes, w.storedBytes
 }
@@ -379,556 +319,4 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.count += uint64(n)
 	return n, err
-}
-
-// ReadStats counts the physical work a Reader has done; the Figure 6
-// harness, the column-index tests and the O(1)-point-read pin use it to
-// verify that reads really touch only what they must.
-type ReadStats struct {
-	PartitionsRead atomic.Int64
-	BytesRead      atomic.Int64
-	ReadAtCalls    atomic.Int64 // physical ReadAt issues since Open
-	IndexedReads   atomic.Int64 // reads that seeked via a column/block index
-	SeeksSaved     atomic.Int64 // bytes skipped thanks to that index
-}
-
-// Reader serves point and range reads from one SSTable file. It is safe
-// for concurrent use: all reads go through ReadAt.
-type Reader struct {
-	f      *os.File
-	format int
-	size   int64
-	filter *bloom.Filter
-	maxSeq uint64
-	Stats  ReadStats
-
-	// cache, when attached, serves decompressed blocks and table meta
-	// under the engine-wide budget; cacheID is this table's identity in
-	// it.
-	cache   *BlockCache
-	cacheID uint64
-
-	// v1/v2: the whole partition index, loaded eagerly at Open.
-	index []indexEntry
-	byPK  map[string]int
-
-	// v3: footer fields; the block index and partition directory load
-	// lazily on first use (loadMeta), as one combined ReadAt.
-	blockIdxOff uint64
-	partDirOff  uint64
-	bloomOff    uint64
-	entryCount  uint64
-	partCount   uint64
-	metaCRC     uint32
-	metaMu      sync.Mutex
-	meta        atomic.Pointer[tableMeta]
-}
-
-// tableMeta is a v3 table's lazily-loaded index state.
-type tableMeta struct {
-	blocks []blockIndexEntry
-	parts  []partDirEntry
-	byPK   map[string]int
-}
-
-// Open prepares a reader for an SSTable file. The format revision is
-// detected from the footer terminator: "SKVT" (v1), "SKV2" or "SKV3".
-// For v1/v2 the whole partition index and bloom filter load here; for
-// v3 only the footer and bloom filter do — the block index and
-// partition directory load lazily on the first read that needs them.
-func Open(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sstable: open: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if st.Size() < int64(len(magic)+footerSizeV1) {
-		f.Close()
-		return nil, ErrCorrupt
-	}
-	var term [4]byte
-	if _, err := f.ReadAt(term[:], st.Size()-4); err != nil {
-		f.Close()
-		return nil, err
-	}
-	format := 0
-	footerSize := 0
-	switch {
-	case bytes.Equal(term[:], magicV3):
-		format, footerSize = 3, footerSizeV3
-	case bytes.Equal(term[:], magicV2):
-		format, footerSize = 2, footerSizeV2
-	case bytes.Equal(term[:], magic):
-		format, footerSize = 1, footerSizeV1
-	default:
-		f.Close()
-		return nil, ErrCorrupt
-	}
-	if st.Size() < int64(len(magic)+footerSize) {
-		f.Close()
-		return nil, ErrCorrupt
-	}
-	if format == 3 {
-		return openV3(f, st.Size())
-	}
-	footer := make([]byte, footerSize)
-	if _, err := f.ReadAt(footer, st.Size()-int64(footerSize)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	indexOff := binary.LittleEndian.Uint64(footer[0:])
-	bloomOff := binary.LittleEndian.Uint64(footer[8:])
-	count := binary.LittleEndian.Uint64(footer[16:])
-	var maxSeq uint64
-	var wantCRC uint32
-	if format == 1 {
-		wantCRC = binary.LittleEndian.Uint32(footer[24:])
-	} else {
-		maxSeq = binary.LittleEndian.Uint64(footer[24:])
-		wantCRC = binary.LittleEndian.Uint32(footer[32:])
-	}
-	if indexOff > bloomOff || bloomOff > uint64(st.Size())-uint64(footerSize) {
-		f.Close()
-		return nil, ErrCorrupt
-	}
-
-	idxBuf := make([]byte, bloomOff-indexOff)
-	if _, err := f.ReadAt(idxBuf, int64(indexOff)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	bloomBuf := make([]byte, uint64(st.Size())-uint64(footerSize)-bloomOff)
-	if _, err := f.ReadAt(bloomBuf, int64(bloomOff)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	crc := crc32.ChecksumIEEE(idxBuf)
-	crc = crc32.Update(crc, crc32.IEEETable, bloomBuf)
-	if crc != wantCRC {
-		f.Close()
-		return nil, fmt.Errorf("%w: index crc mismatch", ErrCorrupt)
-	}
-
-	r := &Reader{f: f, format: format, size: st.Size(), byPK: make(map[string]int, count), maxSeq: maxSeq}
-	p := idxBuf
-	n, used := enc.Uvarint(p)
-	if used <= 0 || n != count {
-		f.Close()
-		return nil, ErrCorrupt
-	}
-	p = p[used:]
-	for i := uint64(0); i < count; i++ {
-		pkb, u := enc.Bytes(p)
-		if u == 0 {
-			f.Close()
-			return nil, ErrCorrupt
-		}
-		p = p[u:]
-		off, u1 := enc.Uvarint(p)
-		p = p[u1:]
-		size, u2 := enc.Uvarint(p)
-		p = p[u2:]
-		cells, u3 := enc.Uvarint(p)
-		p = p[u3:]
-		if u1 <= 0 || u2 <= 0 || u3 <= 0 {
-			f.Close()
-			return nil, ErrCorrupt
-		}
-		r.index = append(r.index, indexEntry{pk: string(pkb), offset: off, size: size, cells: cells})
-		r.byPK[string(pkb)] = int(i)
-	}
-	if r.filter, err = bloom.Unmarshal(bloomBuf); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return r, nil
-}
-
-// readAt is the single physical-read funnel: every post-Open disk
-// access goes through it so ReadStats counts I/O operations and bytes
-// exactly.
-func (r *Reader) readAt(p []byte, off int64) error {
-	r.Stats.ReadAtCalls.Add(1)
-	r.Stats.BytesRead.Add(int64(len(p)))
-	_, err := r.f.ReadAt(p, off)
-	return err
-}
-
-// AttachCache points the reader at a shared block cache, issuing it a
-// fresh table identity. Call once, right after Open, before any reads;
-// v3 data blocks and the lazily-loaded meta then live in (and are
-// bounded by) the cache instead of per-reader memory. The identity is
-// never reused, so a retired table's entries become unreachable and age
-// out — invalidation by identity, no purge call.
-func (r *Reader) AttachCache(c *BlockCache) {
-	if c == nil || r.format != 3 {
-		return
-	}
-	r.cache = c
-	r.cacheID = c.NewTableID()
-}
-
-// Close releases the underlying file.
-func (r *Reader) Close() error { return r.f.Close() }
-
-// MaxSeq returns the highest cell version sequence stored in the table;
-// 0 for legacy v1 tables (whose cells all carry the zero version). The
-// engine restores its write counter from it and uses it to skip tables
-// that cannot beat an already-found version.
-func (r *Reader) MaxSeq() uint64 { return r.maxSeq }
-
-// Legacy reports whether the table uses the pre-versioning v1 format.
-func (r *Reader) Legacy() bool { return r.format == 1 }
-
-// Format returns the table's format revision: 1, 2 or 3.
-func (r *Reader) Format() int { return r.format }
-
-// Path returns the file backing this table; the storage engine's
-// compactor uses it to retire exactly the inputs it merged.
-func (r *Reader) Path() string { return r.f.Name() }
-
-// Size returns the table's file size in bytes; the leveled compactor
-// uses it to budget levels and split outputs.
-func (r *Reader) Size() int64 { return r.size }
-
-// NumPartitions returns how many partitions the table holds.
-func (r *Reader) NumPartitions() int {
-	if r.format == 3 {
-		return int(r.partCount)
-	}
-	return len(r.index)
-}
-
-// Partitions returns all partition keys in ascending order. For v3
-// tables it forces the lazy index load; an I/O failure there returns
-// nil (the same failure then surfaces, with its error, on any read).
-func (r *Reader) Partitions() []string {
-	if r.format == 3 {
-		m, err := r.loadMeta()
-		if err != nil {
-			return nil
-		}
-		out := make([]string, len(m.parts))
-		for i, e := range m.parts {
-			out[i] = e.pk
-		}
-		return out
-	}
-	out := make([]string, len(r.index))
-	for i, e := range r.index {
-		out[i] = e.pk
-	}
-	return out
-}
-
-// Bounds returns the table's first and last partition keys, forcing the
-// lazy index load on v3. An empty table returns ("", "").
-func (r *Reader) Bounds() (first, last string, err error) {
-	if r.format == 3 {
-		m, err := r.loadMeta()
-		if err != nil {
-			return "", "", err
-		}
-		if len(m.parts) == 0 {
-			return "", "", nil
-		}
-		return m.parts[0].pk, m.parts[len(m.parts)-1].pk, nil
-	}
-	if len(r.index) == 0 {
-		return "", "", nil
-	}
-	return r.index[0].pk, r.index[len(r.index)-1].pk, nil
-}
-
-// MayContain consults the bloom filter; false means the partition is
-// definitely absent and the read path can skip this table.
-func (r *Reader) MayContain(pk string) bool { return r.filter.MayContainString(pk) }
-
-// CellCount returns the number of cells in a partition without reading
-// its data.
-func (r *Reader) CellCount(pk string) (int, bool) {
-	if r.format == 3 {
-		m, err := r.loadMeta()
-		if err != nil {
-			return 0, false
-		}
-		i, ok := m.byPK[pk]
-		if !ok {
-			return 0, false
-		}
-		return int(m.parts[i].cells), true
-	}
-	i, ok := r.byPK[pk]
-	if !ok {
-		return 0, false
-	}
-	return int(r.index[i].cells), true
-}
-
-// parsedPartition is a v1/v2 partition record decoded from disk.
-type parsedPartition struct {
-	colCKs     [][]byte
-	colOffsets []uint64
-	data       []byte
-	cellCount  uint64
-	// dataFileOff is the file offset where `data` begins, for chunked
-	// slice reads.
-	dataFileOff int64
-}
-
-// loadHeader reads and parses a v1/v2 partition record. When wholeData
-// is false only the header and column index are read; data is fetched
-// later chunk by chunk.
-func (r *Reader) loadHeader(e indexEntry, wholeData bool) (*parsedPartition, error) {
-	// Header is small; read generously but never past the record.
-	headLen := e.size
-	if !wholeData && headLen > 4096 {
-		headLen = 4096
-	}
-	buf := make([]byte, headLen)
-	if err := r.readAt(buf, int64(e.offset)); err != nil {
-		return nil, err
-	}
-	p := buf
-	pkb, u := enc.Bytes(p)
-	if u == 0 {
-		return nil, ErrCorrupt
-	}
-	_ = pkb
-	p = p[u:]
-	cellCount, u := enc.Uvarint(p)
-	if u <= 0 {
-		return nil, ErrCorrupt
-	}
-	p = p[u:]
-	if len(p) == 0 {
-		return nil, ErrCorrupt
-	}
-	hasIndex := p[0] == 1
-	p = p[1:]
-	pp := &parsedPartition{cellCount: cellCount}
-	if hasIndex {
-		nEntries, u := enc.Uvarint(p)
-		if u <= 0 {
-			return nil, ErrCorrupt
-		}
-		p = p[u:]
-		// A column index larger than our header read: re-read the whole
-		// record. Simpler than chasing exact sizes and rare in practice.
-		if !wholeData && nEntries > 64 {
-			return r.loadHeader(e, true)
-		}
-		pp.colCKs = make([][]byte, 0, nEntries)
-		pp.colOffsets = make([]uint64, 0, nEntries)
-		for i := uint64(0); i < nEntries; i++ {
-			ck, u1 := enc.Bytes(p)
-			if u1 == 0 {
-				if !wholeData {
-					return r.loadHeader(e, true) // truncated by header cap
-				}
-				return nil, ErrCorrupt
-			}
-			p = p[u1:]
-			off, u2 := enc.Uvarint(p)
-			if u2 <= 0 {
-				if !wholeData {
-					return r.loadHeader(e, true)
-				}
-				return nil, ErrCorrupt
-			}
-			p = p[u2:]
-			pp.colCKs = append(pp.colCKs, append([]byte(nil), ck...))
-			pp.colOffsets = append(pp.colOffsets, off)
-		}
-		r.Stats.IndexedReads.Add(1)
-	}
-	dataLen, u := enc.Uvarint(p)
-	if u <= 0 {
-		if !wholeData {
-			return r.loadHeader(e, true)
-		}
-		return nil, ErrCorrupt
-	}
-	p = p[u:]
-	consumed := int64(len(buf) - len(p))
-	pp.dataFileOff = int64(e.offset) + consumed
-	if wholeData {
-		if uint64(len(p)) < dataLen {
-			return nil, ErrCorrupt
-		}
-		pp.data = p[:dataLen]
-	} else if uint64(len(p)) >= dataLen {
-		pp.data = p[:dataLen] // small partition fit in the header read
-	}
-	return pp, nil
-}
-
-// ReadPartition returns every cell of a partition.
-func (r *Reader) ReadPartition(pk string) ([]row.Cell, error) {
-	if r.format == 3 {
-		return r.readSliceV3(pk, nil, nil)
-	}
-	i, ok := r.byPK[pk]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	e := r.index[i]
-	pp, err := r.loadHeader(e, true)
-	if err != nil {
-		return nil, err
-	}
-	r.Stats.PartitionsRead.Add(1)
-	return decodeCells(pp.data, int(pp.cellCount), r.format == 1)
-}
-
-// ReadSlice returns the cells of a partition with from <= CK < to. For
-// partitions the format can seek into — a v1/v2 column index, or a v3
-// partition spanning several blocks — it starts at the first relevant
-// chunk or block instead of scanning from the partition start: the
-// read-path advantage whose cost asymmetry Formula 6 models. Nil bounds
-// mean unbounded.
-func (r *Reader) ReadSlice(pk string, from, to []byte) ([]row.Cell, error) {
-	if r.format == 3 {
-		return r.readSliceV3(pk, from, to)
-	}
-	i, ok := r.byPK[pk]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	e := r.index[i]
-	pp, err := r.loadHeader(e, false)
-	if err != nil {
-		return nil, err
-	}
-	r.Stats.PartitionsRead.Add(1)
-
-	start := uint64(0)
-	if from != nil && len(pp.colCKs) > 0 {
-		// Find the last chunk whose first key is <= from; chunk 0 is the
-		// implicit start of data.
-		j := sort.Search(len(pp.colCKs), func(k int) bool {
-			return bytes.Compare(pp.colCKs[k], from) > 0
-		})
-		if j > 0 {
-			start = pp.colOffsets[j-1]
-			r.Stats.SeeksSaved.Add(int64(start))
-		}
-	}
-
-	var data []byte
-	if pp.data != nil {
-		data = pp.data[start:]
-	} else {
-		// Data was not resident from the header read: fetch from the
-		// chunk start to the end of the record.
-		length := int64(e.offset) + int64(e.size) - (pp.dataFileOff + int64(start))
-		data = make([]byte, length)
-		if err := r.readAt(data, pp.dataFileOff+int64(start)); err != nil {
-			return nil, err
-		}
-	}
-
-	var cells []row.Cell
-	for len(data) > 0 {
-		ck, u := enc.Bytes(data)
-		if u == 0 {
-			break
-		}
-		data = data[u:]
-		val, u2 := enc.Bytes(data)
-		if u2 == 0 {
-			return nil, ErrCorrupt
-		}
-		data = data[u2:]
-		var ver row.Version
-		var tomb bool
-		if r.format != 1 {
-			var ok bool
-			if ver, tomb, data, ok = decodeCellMeta(data); !ok {
-				return nil, ErrCorrupt
-			}
-		}
-		if to != nil && bytes.Compare(ck, to) >= 0 {
-			break
-		}
-		if from != nil && bytes.Compare(ck, from) < 0 {
-			continue
-		}
-		cells = append(cells, row.Cell{
-			CK:        append([]byte(nil), ck...),
-			Value:     append([]byte(nil), val...),
-			Ver:       ver,
-			Tombstone: tomb,
-		})
-	}
-	return cells, nil
-}
-
-// decodeCellMeta parses the v2 per-cell trailer: seq, node, flags.
-func decodeCellMeta(data []byte) (ver row.Version, tomb bool, rest []byte, ok bool) {
-	seq, n1 := enc.Uvarint(data)
-	if n1 <= 0 {
-		return ver, false, nil, false
-	}
-	data = data[n1:]
-	node, n2 := enc.Uvarint(data)
-	if n2 <= 0 || len(data) < n2+1 {
-		return ver, false, nil, false
-	}
-	data = data[n2:]
-	ver = row.Version{Seq: seq, Node: uint16(node)}
-	return ver, data[0]&flagTombstone != 0, data[1:], true
-}
-
-// HasColumnIndex reports whether a slice of the partition can seek past
-// its start: a v1/v2 column index, or (v3) at least one block boundary
-// strictly inside the partition's key range.
-func (r *Reader) HasColumnIndex(pk string) (bool, error) {
-	if r.format == 3 {
-		return r.hasBlockIndexV3(pk)
-	}
-	i, ok := r.byPK[pk]
-	if !ok {
-		return false, ErrNotFound
-	}
-	pp, err := r.loadHeader(r.index[i], false)
-	if err != nil {
-		return false, err
-	}
-	return len(pp.colCKs) > 0, nil
-}
-
-func decodeCells(data []byte, hint int, legacy bool) ([]row.Cell, error) {
-	cells := make([]row.Cell, 0, hint)
-	for len(data) > 0 {
-		ck, u := enc.Bytes(data)
-		if u == 0 {
-			return nil, ErrCorrupt
-		}
-		data = data[u:]
-		val, u2 := enc.Bytes(data)
-		if u2 == 0 {
-			return nil, ErrCorrupt
-		}
-		data = data[u2:]
-		var ver row.Version
-		var tomb bool
-		if !legacy {
-			var ok bool
-			if ver, tomb, data, ok = decodeCellMeta(data); !ok {
-				return nil, ErrCorrupt
-			}
-		}
-		cells = append(cells, row.Cell{
-			CK:        append([]byte(nil), ck...),
-			Value:     append([]byte(nil), val...),
-			Ver:       ver,
-			Tombstone: tomb,
-		})
-	}
-	return cells, nil
 }

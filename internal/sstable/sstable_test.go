@@ -2,9 +2,11 @@ package sstable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"scalekv/internal/row"
@@ -286,7 +288,7 @@ func TestOpenRejectsCorruptFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-footerSizeV2-2] ^= 0xFF
+	data[len(data)-footerSizeV3-2] ^= 0xFF
 	bad := filepath.Join(dir, "bad.sst")
 	os.WriteFile(bad, data, 0o644)
 	if _, err := Open(bad); err == nil {
@@ -299,6 +301,23 @@ func TestOpenRejectsCorruptFile(t *testing.T) {
 	os.WriteFile(bad2, data2, 0o644)
 	if _, err := Open(bad2); err == nil {
 		t.Fatal("opened file with bad magic")
+	}
+}
+
+func TestOpenRefusesPreV3Table(t *testing.T) {
+	// The retired flat revisions ended their footers in "SKVT" (v1) and
+	// "SKV2" (v2); Open names them instead of reading them.
+	for _, term := range []string{"SKVT", "SKV2"} {
+		data := append([]byte("SKVT"), make([]byte, 64)...)
+		data = append(data, term...)
+		path := filepath.Join(t.TempDir(), "old.sst")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(path)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "pre-v3") {
+			t.Fatalf("footer %q: Open returned %v, want a pre-v3 ErrCorrupt", term, err)
+		}
 	}
 }
 
@@ -329,8 +348,8 @@ func TestEmptyPartition(t *testing.T) {
 }
 
 func TestLargeColumnIndexHeaderRefetch(t *testing.T) {
-	// Enough chunks that the column index overflows the 4KB header read
-	// and the >64-entries refetch path triggers.
+	// A partition spanning well over a thousand blocks: a slice at its
+	// very end must still find the right block through the block index.
 	const n = 60000
 	parts := map[string][]row.Cell{"huge": makeCells(n, 64)}
 	r, err := Open(writeTable(t, WriterOptions{ColumnIndexSize: 16 << 10}, parts))

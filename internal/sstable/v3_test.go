@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"scalekv/internal/enc"
 	"scalekv/internal/row"
 )
 
@@ -23,9 +24,6 @@ func TestV3ColdPointReadIsIndexPlusOneBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Format() != 3 {
-		t.Fatalf("default writer produced format %d, want 3", r.Format())
-	}
 	if got := r.Stats.ReadAtCalls.Load(); got != 0 {
 		t.Fatalf("open issued %d post-open ReadAts, want 0 (lazy index)", got)
 	}
@@ -135,59 +133,71 @@ func TestV3IterMatchesReadPartition(t *testing.T) {
 		"c":     makeCells(1, 8),
 		"after": makeCells(100, 16),
 	}
-	for _, format := range []int{1, 2, 3} {
-		r, err := Open(writeTable(t, WriterOptions{FormatVersion: format}, parts))
+	r, err := Open(writeTable(t, WriterOptions{}, parts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	it := r.Iter()
+	var seen []string
+	for {
+		pk, cells, ok := it.Next()
+		if !ok {
+			break
+		}
+		seen = append(seen, pk)
+		want, err := r.ReadPartition(pk)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("read %q: %v", pk, err)
 		}
-		it := r.Iter()
-		var seen []string
-		for {
-			pk, cells, ok := it.Next()
-			if !ok {
-				break
-			}
-			seen = append(seen, pk)
-			want, err := r.ReadPartition(pk)
-			if err != nil {
-				t.Fatalf("v%d read %q: %v", format, pk, err)
-			}
-			if len(cells) != len(want) {
-				t.Fatalf("v%d %q: iter %d cells, read %d", format, pk, len(cells), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(cells[i].CK, want[i].CK) || !bytes.Equal(cells[i].Value, want[i].Value) ||
-					cells[i].Ver != want[i].Ver || cells[i].Tombstone != want[i].Tombstone {
-					t.Fatalf("v%d %q cell %d mismatch", format, pk, i)
-				}
-			}
-		}
-		if err := it.Err(); err != nil {
-			t.Fatalf("v%d iter: %v", format, err)
-		}
-		want := []string{"a", "after", "b", "c"}
-		if len(seen) != len(want) {
-			t.Fatalf("v%d iter saw %v", format, seen)
+		if len(cells) != len(want) {
+			t.Fatalf("%q: iter %d cells, read %d", pk, len(cells), len(want))
 		}
 		for i := range want {
-			if seen[i] != want[i] {
-				t.Fatalf("v%d iter order %v, want %v", format, seen, want)
+			if !bytes.Equal(cells[i].CK, want[i].CK) || !bytes.Equal(cells[i].Value, want[i].Value) ||
+				cells[i].Ver != want[i].Ver || cells[i].Tombstone != want[i].Tombstone {
+				t.Fatalf("%q cell %d mismatch", pk, i)
 			}
 		}
-		r.Close()
+	}
+	if err := it.Err(); err != nil {
+		t.Fatalf("iter: %v", err)
+	}
+	want := []string{"a", "after", "b", "c"}
+	if len(seen) != len(want) {
+		t.Fatalf("iter saw %v", seen)
+	}
+	for i := range want {
+		if seen[i] != want[i] {
+			t.Fatalf("iter order %v, want %v", seen, want)
+		}
 	}
 }
 
 func TestV3PrefixCompressionShrinksTable(t *testing.T) {
-	// Clustering keys share long prefixes ("ck000001"...), so the v3
-	// restart-point compression must beat the flat v2 encoding.
-	parts := map[string][]row.Cell{"p": makeCells(5000, 8)}
-	v2 := writeTable(t, WriterOptions{FormatVersion: 2}, parts)
-	v3 := writeTable(t, WriterOptions{FormatVersion: 3}, parts)
-	s2, _ := os.Stat(v2)
-	s3, _ := os.Stat(v3)
-	if s3.Size() >= s2.Size() {
-		t.Fatalf("v3 table (%d bytes) not smaller than v2 (%d bytes)", s3.Size(), s2.Size())
+	// Clustering keys share long prefixes ("ck000001"...), so the
+	// restart-point prefix compression alone — block compression off —
+	// must beat a flat length-prefixed (ck, value, seq, node, flags)
+	// encoding of the same cells.
+	cells := makeCells(5000, 8)
+	for i := range cells {
+		cells[i].Ver = row.Version{Seq: uint64(i + 1), Node: 1}
+	}
+	var flat []byte
+	for _, c := range cells {
+		flat = enc.AppendBytes(flat, c.CK)
+		flat = enc.AppendBytes(flat, c.Value)
+		flat = enc.AppendUvarint(flat, c.Ver.Seq)
+		flat = enc.AppendUvarint(flat, uint64(c.Ver.Node))
+		flat = append(flat, 0)
+	}
+	path := writeTable(t, WriterOptions{Compression: NoCompression}, map[string][]row.Cell{"p": cells})
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() >= int64(len(flat)) {
+		t.Fatalf("v3 table (%d bytes) not smaller than the flat encoding (%d bytes)", st.Size(), len(flat))
 	}
 }
 
@@ -270,12 +280,6 @@ func TestV3TruncatedMidFileYieldsError(t *testing.T) {
 	os.WriteFile(trunc, data[:len(data)/2], 0o644)
 	if _, err := Open(trunc); err == nil {
 		t.Fatal("opened a truncated v3 file")
-	}
-}
-
-func TestWriterRejectsUnknownFormat(t *testing.T) {
-	if _, err := NewWriter(filepath.Join(t.TempDir(), "x.sst"), WriterOptions{FormatVersion: 4}); err == nil {
-		t.Fatal("format 4 accepted")
 	}
 }
 

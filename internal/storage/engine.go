@@ -100,9 +100,12 @@ type Options struct {
 	// FlushThreshold is the memtable payload size, in bytes, that
 	// triggers a background flush to SSTable. 0 means 4MB.
 	FlushThreshold int64
-	// ColumnIndexSize forwards to the SSTable writer: chunk granularity
-	// of the column index. 0 means the Cassandra-like 64KB; negative
-	// disables column indexes (ablation knob).
+	// ColumnIndexSize forwards to the SSTable writer, where only its
+	// sign matters: zero or positive lets a partition span several
+	// blocks that the block index seeks into (the column index of
+	// Cassandra's read path); negative never splits a partition across
+	// blocks, disabling intra-partition seeks (the Figure 6 ablation
+	// knob).
 	ColumnIndexSize int
 	// RowCachePartitions enables an LRU row cache holding that many
 	// partitions. 0 disables it.
@@ -320,18 +323,17 @@ func rejectLegacyLayout(dir string) error {
 
 // manifestFormat is the on-disk format generation recorded in the
 // SHARDS manifest: "v3" marks a directory with per-shard level
-// manifests and block-based v3 tables. A "v2" manifest (versioned
-// cells, flat table lists) or a format-less one (pre-versioning) is
-// upgraded in place: their v1/v2 tables and legacy WAL segments stay
-// readable, every table written from here on is v3, and openShard
-// writes the level manifests on first contact.
+// manifests, block-based v3 tables and versioned WAL records — the only
+// generation this engine reads.
 const manifestFormat = "v3"
 
 // loadOrInitShardCount reads the SHARDS manifest — "<count> <format>" —
 // writing it with want on first open. The persisted count wins on
-// reopen: partition keys were hashed to files with it. An unknown
-// format field fails loudly: the directory was written by a newer
-// engine whose files this one would misread.
+// reopen: partition keys were hashed to files with it. Any other format
+// field fails loudly: a format-less or "v2" manifest marks a pre-v3
+// directory whose flat tables and legacy WAL records this engine no
+// longer reads, and an unknown one was written by a newer engine whose
+// files this one would misread.
 func loadOrInitShardCount(dir string, want int) (int, error) {
 	path := filepath.Join(dir, "SHARDS")
 	b, err := os.ReadFile(path)
@@ -354,13 +356,8 @@ func loadOrInitShardCount(dir string, want int) (int, error) {
 	}
 	switch {
 	case len(fields) == 1 || fields[1] == "v2":
-		// Earlier-generation manifest: upgrade, the data files stay
-		// readable.
-		if err := os.WriteFile(path, []byte(fmt.Sprintf("%d %s\n", n, manifestFormat)), 0o644); err != nil {
-			return 0, err
-		}
-	case fields[1] == manifestFormat:
-	default:
+		return 0, fmt.Errorf("storage: %s is a pre-v3 data directory; re-ingest the data with this version", dir)
+	case fields[1] != manifestFormat:
 		return 0, fmt.Errorf("storage: %s was written with format %q; this engine supports %q", path, fields[1], manifestFormat)
 	}
 	return n, nil
@@ -785,8 +782,7 @@ func (e *Engine) Flush() error {
 // Compact asks every shard's worker to merge its whole level tree into
 // a single sorted run (one table, or several range-partitioned ones
 // past TargetTableBytes) at the deepest level, dropping shadowed cell
-// versions and collectable tombstones, and waits for completion. It
-// also rewrites any remaining v1/v2 table to the v3 format.
+// versions and collectable tombstones, and waits for completion.
 func (e *Engine) Compact() error {
 	for _, s := range e.shards {
 		s.mu.Lock()

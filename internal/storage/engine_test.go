@@ -2,9 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -314,6 +317,81 @@ func TestWALTornTailTolerated(t *testing.T) {
 	v, ok, _ := e2.Get("p", ck(1))
 	if !ok || string(v) != "good" {
 		t.Fatal("intact record lost")
+	}
+}
+
+// TestWALZeroFilledTailTolerated: a filesystem can leave a zero-filled
+// tail after a crash. Its all-zero header reads as an empty record with
+// a matching CRC; replay must stop there like at any torn tail.
+func TestWALZeroFilledTailTolerated(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Put("p", ck(1), []byte("good")); err != nil {
+		t.Fatal(err)
+	}
+	crashForTest(e)
+
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-s*.log"))
+	if len(segs) != 1 {
+		t.Fatalf("want exactly 1 WAL segment, got %v", segs)
+	}
+	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 4<<10)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	e2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if v, ok, _ := e2.Get("p", ck(1)); !ok || string(v) != "good" {
+		t.Fatalf("intact record lost: %q,%v", v, ok)
+	}
+}
+
+// TestWALUnknownOpRejected: an intact record (CRC matches) whose op is
+// not the versioned put was not written by this engine generation —
+// e.g. a pre-versioning put — and must fail Open, not be skipped.
+func TestWALUnknownOpRejected(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Put("p", ck(1), []byte("good")); err != nil {
+		t.Fatal(err)
+	}
+	crashForTest(e)
+
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-s*.log"))
+	if len(segs) != 1 {
+		t.Fatalf("want exactly 1 WAL segment, got %v", segs)
+	}
+	rec := appendRecordV2(nil, "p", ck(2), []byte("old"), row.Version{}, false)
+	rec[8] = 1 // the pre-versioning put op
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
+	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rec); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	if e2, err := Open(Options{Dir: dir}); err == nil {
+		e2.Close()
+		t.Fatal("opened a WAL segment holding an unknown record op")
+	} else if !strings.Contains(err.Error(), "unknown record op 1") {
+		t.Fatalf("Open returned %v, want the unknown-op error", err)
 	}
 }
 

@@ -10,169 +10,6 @@ import (
 	"scalekv/internal/sstable"
 )
 
-// writeTableFile drops a raw SSTable of the given format into dir under
-// name, bypassing the engine — simulating tables left by earlier
-// engine generations.
-func writeTableFile(t *testing.T, dir, name string, format int, parts map[string][]row.Cell) {
-	t.Helper()
-	w, err := sstable.NewWriter(filepath.Join(dir, name), sstable.WriterOptions{FormatVersion: format})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pks := make([]string, 0, len(parts))
-	for pk := range parts {
-		pks = append(pks, pk)
-	}
-	for i := 0; i < len(pks); i++ {
-		for j := i + 1; j < len(pks); j++ {
-			if pks[j] < pks[i] {
-				pks[i], pks[j] = pks[j], pks[i]
-			}
-		}
-	}
-	for _, pk := range pks {
-		if err := w.AddPartition(pk, parts[pk]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCompatMatrixV1V2V3 opens a shard holding a v1, a v2 and (after a
-// flush) a v3 table side by side: reads must merge all three by
-// version, the reopened counter must run past the v2 table's max-seq,
-// and a compaction must rewrite every surviving table to v3.
-func TestCompatMatrixV1V2V3(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("1 v2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// v1: unversioned cells, the oldest generation.
-	writeTableFile(t, dir, "sst-s00-000000.db", 1, map[string][]row.Cell{
-		"alpha": {{CK: ck(1), Value: []byte("v1-a1")}, {CK: ck(2), Value: []byte("v1-a2")}},
-		"gamma": {{CK: ck(1), Value: []byte("v1-g1")}},
-	})
-	// v2: versioned cells; ck(1) of alpha overwritten, beta introduced,
-	// and a tombstone masking gamma's v1 cell.
-	writeTableFile(t, dir, "sst-s00-000001.db", 2, map[string][]row.Cell{
-		"alpha": {{CK: ck(1), Value: []byte("v2-a1"), Ver: row.Version{Seq: 40, Node: 1}}},
-		"beta":  {{CK: ck(1), Value: []byte("v2-b1"), Ver: row.Version{Seq: 41, Node: 1}}},
-		"gamma": {{CK: ck(1), Ver: row.Version{Seq: 42, Node: 1}, Tombstone: true}},
-	})
-
-	e, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Counter restored from the v2 table's max-seq: this put must stamp
-	// above 42 and win over everything.
-	if err := e.Put("alpha", ck(2), []byte("v3-a2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil { // the v3 table joins the shard
-		t.Fatal(err)
-	}
-
-	check := func(stage string) {
-		t.Helper()
-		for _, tc := range []struct {
-			pk   string
-			ck   int
-			want string
-			ok   bool
-		}{
-			{"alpha", 1, "v2-a1", true}, // v2 beats v1
-			{"alpha", 2, "v3-a2", true}, // v3 beats v1
-			{"beta", 1, "v2-b1", true},  // v2-only survives
-			{"gamma", 1, "", false},     // v2 tombstone masks v1
-		} {
-			v, ok, err := e.Get(tc.pk, ck(tc.ck))
-			if err != nil {
-				t.Fatalf("%s: get %s/%d: %v", stage, tc.pk, tc.ck, err)
-			}
-			if ok != tc.ok || (ok && string(v) != tc.want) {
-				t.Fatalf("%s: %s/%d = %q,%v want %q,%v", stage, tc.pk, tc.ck, v, ok, tc.want, tc.ok)
-			}
-		}
-	}
-	check("mixed formats")
-
-	formats := func() map[int]int {
-		names, _ := filepath.Glob(filepath.Join(dir, "sst-*.db"))
-		got := map[int]int{}
-		for _, name := range names {
-			r, err := sstable.Open(name)
-			if err != nil {
-				t.Fatalf("open %s: %v", name, err)
-			}
-			got[r.Format()]++
-			r.Close()
-		}
-		return got
-	}
-	before := formats()
-	if before[1] != 1 || before[2] != 1 || before[3] != 1 {
-		t.Fatalf("format census before compact: %v, want one of each", before)
-	}
-
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check("after compact")
-	after := formats()
-	if after[1] != 0 || after[2] != 0 || after[3] == 0 {
-		t.Fatalf("compaction left non-v3 tables: %v", after)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	e2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e = e2
-	check("after reopen")
-	e2.Close()
-}
-
-// TestCompactRewritesSingleLegacyTable: Engine.Compact must rewrite a
-// lone v1 table to v3 even though there is nothing to merge it with.
-func TestCompactRewritesSingleLegacyTable(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	writeTableFile(t, dir, "sst-s00-000000.db", 1, map[string][]row.Cell{
-		"p": {{CK: ck(1), Value: []byte("v")}},
-	})
-	e, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	names, _ := filepath.Glob(filepath.Join(dir, "sst-*.db"))
-	if len(names) != 1 {
-		t.Fatalf("%d tables after compact, want 1", len(names))
-	}
-	r, err := sstable.Open(names[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Format() != 3 {
-		t.Fatalf("compact left a v%d table", r.Format())
-	}
-	if v, ok, _ := e.Get("p", ck(1)); !ok || string(v) != "v" {
-		t.Fatalf("cell lost in rewrite: %q,%v", v, ok)
-	}
-}
-
 // TestLeveledCompactionPromotes: sustained flushes under a small L0
 // threshold must push data into L1+ and keep L0 at or under the
 // threshold once idle, with the write-amp counters moving.

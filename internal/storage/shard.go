@@ -74,10 +74,10 @@ func (h *tableHandle) overlaps(lo, hi string) bool {
 // shardView is a consistent read snapshot of one shard: the active
 // memtable, the frozen queue and the pinned table list — the levels
 // flattened oldest-first (deepest level first, L0 last in flush order),
-// so merge tie-breaks preserve the newest-source-wins order for
-// unversioned legacy cells. Views are immutable and atomically
-// published (see publishLocked); readers acquire one with snapshot()
-// and must close it when done so superseded tables can be retired.
+// so merge tie-breaks prefer the newest source. Views are immutable and
+// atomically published (see publishLocked); readers acquire one with
+// snapshot() and must close it when done so superseded tables can be
+// retired.
 type shardView struct {
 	mem    *memtable.Memtable
 	frozen []*frozenMem
@@ -190,13 +190,12 @@ func (s *shard) totalTablesLocked() int {
 // its WAL segments, oldest first, each into its own frozen memtable
 // queued for background flush. The engine's version counter is pulled
 // forward past every version seen (table footers record their max
-// sequence; v2 WAL records carry theirs), so post-recovery writes
-// always order after pre-crash ones. A directory without a manifest
-// predates leveled compaction: its tables all load into L0 in filename
-// order — the order the flat engine merged them in. On-disk tables the
-// manifest does not list are crash leftovers (renamed but never
-// committed); they are swept, their data still covered by WAL segments
-// or by the compaction inputs that survived.
+// sequence; WAL records carry theirs), so post-recovery writes always
+// order after pre-crash ones. On-disk tables the manifest does not list
+// are crash leftovers (renamed but never committed); they are swept,
+// their data still covered by WAL segments or by the compaction inputs
+// that survived. A shard with no manifest has never committed a table,
+// so every table file it holds is such a leftover.
 func (e *Engine) openShard(id int) (*shard, error) {
 	s := &shard{id: id, eng: e, mem: memtable.New(shardSeed(e.opts.Seed, id, 0))}
 	s.cond = sync.NewCond(&s.mu)
@@ -207,35 +206,34 @@ func (e *Engine) openShard(id int) (*shard, error) {
 		}
 	}
 
-	entries, hasManifest, err := readShardManifest(s.manifestPath())
+	entries, err := readShardManifest(s.manifestPath())
 	if err != nil {
 		return nil, err
 	}
 	known := map[string]bool{}
-	if hasManifest {
-		for _, ent := range entries {
-			if ent.level >= maxLevels {
-				return nil, fmt.Errorf("storage: manifest-s%02d places %s at level %d (max %d)", id, ent.name, ent.level, maxLevels-1)
-			}
-			r, err := e.openTable(filepath.Join(e.opts.Dir, ent.name))
-			if err != nil {
-				releaseAll()
-				return nil, fmt.Errorf("storage: reopen manifest-listed %s: %w", ent.name, err)
-			}
-			e.advanceSeq(r.MaxSeq())
-			h := &tableHandle{Reader: r, first: ent.first, last: ent.last, size: r.Size()}
-			h.refs.Store(1)
-			for len(s.levels) <= ent.level {
-				s.levels = append(s.levels, nil)
-			}
-			s.levels[ent.level] = append(s.levels[ent.level], h)
-			known[ent.name] = true
-			s.noteSSTName(ent.name)
+	for _, ent := range entries {
+		if ent.level >= maxLevels {
+			releaseAll()
+			return nil, fmt.Errorf("storage: manifest-s%02d places %s at level %d (max %d)", id, ent.name, ent.level, maxLevels-1)
 		}
-		for n := 1; n < len(s.levels); n++ {
-			lvl := s.levels[n]
-			sort.Slice(lvl, func(a, b int) bool { return lvl[a].first < lvl[b].first })
+		r, err := e.openTable(filepath.Join(e.opts.Dir, ent.name))
+		if err != nil {
+			releaseAll()
+			return nil, fmt.Errorf("storage: reopen manifest-listed %s: %w", ent.name, err)
 		}
+		e.advanceSeq(r.MaxSeq())
+		h := &tableHandle{Reader: r, first: ent.first, last: ent.last, size: r.Size()}
+		h.refs.Store(1)
+		for len(s.levels) <= ent.level {
+			s.levels = append(s.levels, nil)
+		}
+		s.levels[ent.level] = append(s.levels[ent.level], h)
+		known[ent.name] = true
+		s.noteSSTName(ent.name)
+	}
+	for n := 1; n < len(s.levels); n++ {
+		lvl := s.levels[n]
+		sort.Slice(lvl, func(a, b int) bool { return lvl[a].first < lvl[b].first })
 	}
 
 	names, err := filepath.Glob(filepath.Join(e.opts.Dir, fmt.Sprintf("sst-s%02d-*.db", id)))
@@ -243,44 +241,16 @@ func (e *Engine) openShard(id int) (*shard, error) {
 		releaseAll()
 		return nil, err
 	}
-	sort.Strings(names)
 	for _, name := range names {
 		base := filepath.Base(name)
 		if known[base] {
 			continue
 		}
+		// Orphan: renamed into place but never committed to the
+		// manifest. Its cells live on in the WAL (un-flushed) or in the
+		// compaction inputs the manifest still lists.
 		s.noteSSTName(base)
-		if hasManifest {
-			// Orphan: renamed into place but never committed to the
-			// manifest. Its cells live on in the WAL (un-flushed) or in
-			// the compaction inputs the manifest still lists.
-			os.Remove(name)
-			continue
-		}
-		// Pre-leveling directory: every table joins L0 in age order.
-		r, err := e.openTable(name)
-		if err != nil {
-			releaseAll()
-			return nil, fmt.Errorf("storage: reopen %s: %w", name, err)
-		}
-		e.advanceSeq(r.MaxSeq())
-		h, err := newTableHandle(r)
-		if err != nil {
-			r.Close()
-			releaseAll()
-			return nil, fmt.Errorf("storage: reopen %s: %w", name, err)
-		}
-		if len(s.levels) == 0 {
-			s.levels = append(s.levels, nil)
-		}
-		s.levels[0] = append(s.levels[0], h)
-	}
-	if !hasManifest && s.totalTablesLocked() > 0 {
-		// Upgrade in place so the next open takes the manifest path.
-		if err := s.writeManifestLocked(); err != nil {
-			releaseAll()
-			return nil, err
-		}
+		os.Remove(name)
 	}
 
 	if !e.opts.DisableWAL {
@@ -294,18 +264,8 @@ func (e *Engine) openShard(id int) (*shard, error) {
 			s.memGen++
 			rec := memtable.New(shardSeed(e.opts.Seed, id, s.memGen))
 			if err := replayWAL(seg, func(r walRec) {
-				switch r.op {
-				case walPutV2:
-					e.advanceSeq(r.ver.Seq)
-					rec.Put(r.pk, r.ck, r.value, r.ver, r.tombstone)
-				case walPut:
-					rec.Put(r.pk, r.ck, r.value, e.stamp(), false)
-				case walDelete:
-					// Legacy delete, replayed as a tombstone: it masks the
-					// puts it covered (and, unlike the pre-versioning
-					// engine, stays effective past flush).
-					rec.Put(r.pk, r.ck, nil, e.stamp(), true)
-				}
+				e.advanceSeq(r.ver.Seq)
+				rec.Put(r.pk, r.ck, r.value, r.ver, r.tombstone)
 			}); err != nil {
 				releaseAll()
 				return nil, err
@@ -753,13 +713,7 @@ func (s *shard) worker() {
 		case s.majorReq:
 			s.majorReq = false
 			inputs := s.allTablesLocked()
-			needsRewrite := false
-			for _, t := range inputs {
-				if t.Format() != 3 {
-					needsRewrite = true
-				}
-			}
-			if len(inputs) == 0 || (len(inputs) == 1 && !needsRewrite) {
+			if len(inputs) <= 1 {
 				s.cond.Broadcast()
 				continue
 			}

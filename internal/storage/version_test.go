@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"scalekv/internal/row"
@@ -269,108 +270,81 @@ func TestTombstoneKeptWhileOlderCopyUnflushed(t *testing.T) {
 	}
 }
 
-// --- v1 back-compat ----------------------------------------------------------
+// --- on-disk generation ------------------------------------------------------
 
-// writeLegacyDir builds a data directory exactly as the pre-versioning
-// engine would have left it: a count-only SHARDS manifest and v1-format
-// SSTables.
-func writeLegacyDir(t *testing.T, parts map[string][]row.Cell) string {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, err := sstable.NewWriter(filepath.Join(dir, "sst-s00-000000.db"), sstable.WriterOptions{FormatVersion: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pks := make([]string, 0, len(parts))
-	for pk := range parts {
-		pks = append(pks, pk)
-	}
-	// Writer needs ascending order.
-	for i := 0; i < len(pks); i++ {
-		for j := i + 1; j < len(pks); j++ {
-			if pks[j] < pks[i] {
-				pks[i], pks[j] = pks[j], pks[i]
-			}
-		}
-	}
-	for _, pk := range pks {
-		if err := w.AddPartition(pk, parts[pk]); err != nil {
+// TestPreV3DirectoryRejected: a SHARDS manifest with no format field
+// (pre-versioning) or stamped "v2" (flat tables) marks a directory this
+// engine no longer reads; Open must say so instead of upgrading it.
+func TestPreV3DirectoryRejected(t *testing.T) {
+	for _, stamp := range []string{"1\n", "1 v2\n"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte(stamp), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		_, err := Open(Options{Dir: dir})
+		if err == nil || !strings.Contains(err.Error(), "pre-v3 data directory; re-ingest") {
+			t.Fatalf("SHARDS %q: Open returned %v, want the pre-v3 error", stamp, err)
+		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return dir
 }
 
-// TestV1TablesReadableAndUpgradable: a directory written before this
-// format change still opens and serves every cell; new writes win over
-// the unversioned cells, deletes mask them, and a compaction folds the
-// v1 table into a v2 one without losing anything.
-func TestV1TablesReadableAndUpgradable(t *testing.T) {
-	dir := writeLegacyDir(t, map[string][]row.Cell{
-		"alpha": {{CK: ck(1), Value: []byte("a1")}, {CK: ck(2), Value: []byte("a2")}},
-		"beta":  {{CK: ck(1), Value: []byte("b1")}},
-	})
-	e, err := Open(Options{Dir: dir, Shards: 8}) // manifest's 1 must win
+// TestShardCountPersistsAcrossReopen: the SHARDS manifest's count wins
+// over Options.Shards on reopen, because the existing files were
+// partitioned with it.
+func TestShardCountPersistsAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Options{Dir: dir, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if v, ok, _ := e.Get("alpha", ck(1)); !ok || string(v) != "a1" {
-		t.Fatalf("v1 cell unreadable: %q,%v", v, ok)
-	}
-	// New writes (versioned) must shadow the zero-versioned v1 cells.
-	if err := e.Put("alpha", ck(1), []byte("a1-new")); err != nil {
+	if err := e.Put("p", ck(1), []byte("v")); err != nil {
 		t.Fatal(err)
-	}
-	if v, _, _ := e.Get("alpha", ck(1)); string(v) != "a1-new" {
-		t.Fatalf("v1 cell shadowed wrongly: %q", v)
-	}
-	if err := e.Delete("beta", ck(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := e.Get("beta", ck(1)); ok {
-		t.Fatal("delete did not mask a v1 cell")
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Compact(); err != nil { // folds v1 + v2 tables together
-		t.Fatal(err)
-	}
-	if v, _, _ := e.Get("alpha", ck(1)); string(v) != "a1-new" {
-		t.Fatalf("compaction of mixed formats lost the overwrite: %q", v)
-	}
-	if v, ok, _ := e.Get("alpha", ck(2)); !ok || string(v) != "a2" {
-		t.Fatalf("compaction of mixed formats lost a v1 cell: %q,%v", v, ok)
-	}
-	if _, ok, _ := e.Get("beta", ck(1)); ok {
-		t.Fatal("delete of a v1 cell undone by compaction")
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// The manifest was upgraded in place and the directory reopens.
-	b, err := os.ReadFile(filepath.Join(dir, "SHARDS"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != "1 v3\n" {
-		t.Fatalf("manifest not upgraded: %q", b)
-	}
-	e2, err := Open(Options{Dir: dir})
+	e2, err := Open(Options{Dir: dir, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	if v, ok, _ := e2.Get("alpha", ck(2)); !ok || string(v) != "a2" {
-		t.Fatalf("reopen after upgrade lost data: %q,%v", v, ok)
+	if len(e2.shards) != 2 {
+		t.Fatalf("reopened with %d shards, want the persisted 2", len(e2.shards))
+	}
+	if v, ok, _ := e2.Get("p", ck(1)); !ok || string(v) != "v" {
+		t.Fatalf("cell lost across reopen: %q,%v", v, ok)
+	}
+}
+
+// TestManifestlessShardTablesSwept: a shard without a manifest has never
+// committed a table, so a table file in it is the leftover of a first
+// flush that crashed before its manifest write — swept, not loaded.
+func TestManifestlessShardTablesSwept(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("1 v3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, "sst-s00-000000.db")
+	w, err := sstable.NewWriter(orphan, sstable.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AddPartition("p", []row.Cell{{CK: ck(1), Value: []byte("v"), Ver: row.Version{Seq: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if n := e.NumSSTables(); n != 0 {
+		t.Fatalf("manifest-less shard loaded %d tables, want 0", n)
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("orphan table not swept: %v", err)
 	}
 }
 

@@ -12,23 +12,15 @@ import (
 	"scalekv/internal/row"
 )
 
-// walRecord ops. walPut and walDelete are the legacy (pre-versioning)
-// revision: no version, and walDelete meant "remove from the active
-// memtable". walPutV2 is the current revision: every record carries the
-// cell version and a flags byte (tombstones are just flagged puts). The
-// engine only writes v2 records; replay still accepts both revisions so
-// segments written before the format change stay recoverable.
-const (
-	walPut    = byte(1)
-	walDelete = byte(2)
-	walPutV2  = byte(3)
-)
+// walPutV2 is the one WAL record op: every record carries the cell
+// version and a flags byte (tombstones are just flagged puts). Ops 1 and
+// 2 belonged to the pre-versioning revision, which replay refuses.
+const walPutV2 = byte(3)
 
 const walFlagTombstone = byte(1)
 
-// walRec is one replayed record, already normalized across revisions.
+// walRec is one replayed record.
 type walRec struct {
-	op        byte
 	pk        string
 	ck, value []byte
 	ver       row.Version
@@ -102,10 +94,10 @@ func (w *wal) sync() error  { return w.f.Sync() }
 func (w *wal) close() error { return w.f.Close() }
 
 // replayWAL streams every intact record to fn, stopping silently at a
-// torn tail. Legacy records come through with op walPut/walDelete and a
-// zero version; the caller assigns replay versions (openShard stamps
-// them in record order, which preserves the original within-segment
-// ordering including delete-covers-put).
+// torn tail — a short header or payload, an implausible or zero length
+// (a filesystem can leave a zero-filled tail after a crash), or a CRC
+// mismatch. An intact record of any op but walPutV2 is an error: the
+// segment was not written by this engine generation.
 func replayWAL(path string, fn func(rec walRec)) error {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -122,8 +114,8 @@ func replayWAL(path string, fn func(rec walRec)) error {
 		}
 		ln := binary.LittleEndian.Uint32(hdr[0:])
 		want := binary.LittleEndian.Uint32(hdr[4:])
-		if ln > 1<<30 {
-			return nil // implausible length: torn tail
+		if ln == 0 || ln > 1<<30 {
+			return nil // zero-filled or implausible length: torn tail
 		}
 		payload := make([]byte, ln)
 		if _, err := io.ReadFull(f, payload); err != nil {
@@ -132,7 +124,9 @@ func replayWAL(path string, fn func(rec walRec)) error {
 		if crc32.ChecksumIEEE(payload) != want {
 			return nil // corrupt tail record
 		}
-		rec := walRec{op: payload[0]}
+		if payload[0] != walPutV2 {
+			return fmt.Errorf("storage: wal %s: unknown record op %d", path, payload[0])
+		}
 		p := payload[1:]
 		pkb, u := enc.Bytes(p)
 		if u == 0 {
@@ -149,24 +143,23 @@ func replayWAL(path string, fn func(rec walRec)) error {
 			return nil
 		}
 		p = p[u3:]
-		rec.pk, rec.ck, rec.value = string(pkb), ck, val
-		if rec.op == walPutV2 {
-			seq, n1 := enc.Uvarint(p)
-			if n1 <= 0 {
-				return nil
-			}
-			p = p[n1:]
-			node, n2 := enc.Uvarint(p)
-			if n2 <= 0 {
-				return nil
-			}
-			p = p[n2:]
-			if len(p) == 0 {
-				return nil
-			}
-			rec.ver = row.Version{Seq: seq, Node: uint16(node)}
-			rec.tombstone = p[0]&walFlagTombstone != 0
+		seq, n1 := enc.Uvarint(p)
+		if n1 <= 0 {
+			return nil
 		}
-		fn(rec)
+		p = p[n1:]
+		node, n2 := enc.Uvarint(p)
+		if n2 <= 0 {
+			return nil
+		}
+		p = p[n2:]
+		if len(p) == 0 {
+			return nil
+		}
+		fn(walRec{
+			pk: string(pkb), ck: ck, value: val,
+			ver:       row.Version{Seq: seq, Node: uint16(node)},
+			tombstone: p[0]&walFlagTombstone != 0,
+		})
 	}
 }
