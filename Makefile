@@ -1,13 +1,22 @@
 # Targets mirror the CI jobs (.github/workflows/ci.yml); `make build
 # test` is the tier-1 verify.
 
-.PHONY: build test perfbench-test bench bench-engine bench-rebalance bench-delete bench-repair bench-workload bench-compare bench-sstable fuzz-smoke deploy-smoke lint
+.PHONY: build test test-epochs perfbench-test bench bench-engine bench-rebalance bench-delete bench-repair bench-workload bench-compare bench-sstable fuzz-smoke deploy-smoke lint
 
 build:
 	go build ./...
 
 test:
 	go test -race -shuffle=on ./...
+
+# Epoch-flip canary on several core counts: the join-under-traffic and
+# lagging-node tests (race-enabled, twice each) and one Rebalance
+# iteration, at GOMAXPROCS 1, 2, 4 and 8. Whether a client outruns a
+# flip installing node by node depends on how many cores race it, so a
+# single core count hides route-policy regressions.
+test-epochs:
+	go test -race -count=2 -cpu 1,2,4,8 -run 'UnderLiveTraffic|DuringRebalance|LaggingNode' ./internal/cluster/
+	go test -run=NONE -bench=Rebalance -benchtime=1x -cpu 1,2,4,8 .
 
 # The repo benchmark (perfbench/) is its own Go module, so the root
 # `go vet ./...` and `go test ./...` never build it; this keeps a

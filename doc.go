@@ -101,8 +101,9 @@
 //
 //  4. flip the epoch on every node. Requests carry the epoch they were
 //     routed under; a node at a different epoch rejects them, and the
-//     client refreshes its ring (RingStateRequest) and re-routes —
-//     stale clients recover on their next operation;
+//     client refreshes its ring (RingStateRequest) — when no member
+//     knows a newer epoch it backs off, bounded, before it re-routes.
+//     Stale clients recover on their next operation;
 //
 //  5. retire the moved ranges at their old owners (DeleteRange).
 //

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,11 +18,21 @@ import (
 	"scalekv/internal/wire"
 )
 
-// maxRouteAttempts bounds how many times an operation re-routes after a
-// ring refresh (wrong-epoch rejection or unreachable replicas). Each
-// attempt already tries every replica, so this is a topology-churn
-// bound, not a per-node retry count.
-const maxRouteAttempts = 4
+// maxRouteAttempts bounds how many times route runs an operation (the
+// first try plus re-routes after a ring refresh). Each attempt already
+// tries every replica, so this is a topology-churn bound, not a
+// per-node retry count. During a join a client typically spends one
+// attempt behind the flip (its refresh finds the newer epoch, no wait)
+// before it is ahead of a node still installing, so the backoff budget
+// is at least 0.5 × (2+4+8+16) = 15 ms; a race-enabled flip of four
+// members measured 5–13 ms on a 2-core box.
+const maxRouteAttempts = 6
+
+// routeBackoff is the mean wait before route's first re-route when the
+// client is ahead of the node that rejected it. The wait doubles per
+// re-route and is drawn uniformly from [w/2, 3w/2), so one operation
+// waits at most 1.5 × (2+4+8+16+32) = 93 ms in all before it fails.
+const routeBackoff = 2 * time.Millisecond
 
 // retryableError marks a failure the client may recover from by
 // refreshing its ring and re-routing: a wrong-epoch rejection or a
@@ -52,7 +64,8 @@ type Dialer func(addr string) (*transport.Client, error)
 // The ring is mutable: every routed request carries the topology epoch
 // it was routed under, and a node that has moved to a different epoch
 // rejects it, making the client refresh its ring (RingStateRequest to
-// any reachable member) and re-route. New members are dialed lazily via
+// every reachable member) and re-route — see route, the one place that
+// policy lives. New members are dialed lazily via
 // the Dialer; connections to departed members are closed on adoption.
 // Point reads (Get, MultiGet, Scan, Count) fail over to the next
 // replica when a node is unreachable, so a dead primary degrades
@@ -63,7 +76,6 @@ type Client struct {
 	rf         int
 	dialer     Dialer
 	readRepair bool
-	repairConc int // anti-entropy worker-pool width (see RepairRange)
 
 	mu      sync.Mutex
 	ring    *hashring.Topology
@@ -115,17 +127,7 @@ type ClientOptions struct {
 	// outage but touches only what failover reads hit — Cluster.Repair
 	// is the convergence guarantee.
 	ReadRepair bool
-	// RepairConcurrency is how many token ranges an anti-entropy pass
-	// (RepairRange, RepairAll, Cluster.Repair) digests and reconciles
-	// concurrently. 0 means 4; 1 restores the sequential pass.
-	RepairConcurrency int
 }
-
-// defaultRepairConcurrency is the anti-entropy pool width when
-// ClientOptions.RepairConcurrency is zero: wide enough to overlap
-// digest round trips across ranges, narrow enough that repair traffic
-// cannot crowd out foreground reads on the replicas.
-const defaultRepairConcurrency = 4
 
 // NewClient wraps per-node RPC clients with ring routing. The conns map
 // seeds the connection set; with a Dialer and address book the client
@@ -137,15 +139,11 @@ func NewClient(ring *hashring.Topology, conns map[hashring.NodeID]*transport.Cli
 	if opts.ReplicationFactor <= 0 {
 		opts.ReplicationFactor = 1
 	}
-	if opts.RepairConcurrency <= 0 {
-		opts.RepairConcurrency = defaultRepairConcurrency
-	}
 	c := &Client{
 		codec:      opts.Codec,
 		rf:         opts.ReplicationFactor,
 		dialer:     opts.Dialer,
 		readRepair: opts.ReadRepair,
-		repairConc: opts.RepairConcurrency,
 		ring:       ring,
 		conns:      make(map[hashring.NodeID]*transport.Client, len(conns)),
 		addrs:      make(map[hashring.NodeID]string, len(opts.Addrs)),
@@ -214,19 +212,41 @@ func (c *Client) dropConn(node hashring.NodeID, conn *transport.Client) {
 	conn.Close()
 }
 
-// callRaw sends one framed request to a node and waits for the reply.
-// Every returned error is transport-class.
-func (c *Client) callRaw(node hashring.NodeID, payload []byte) ([]byte, error) {
+// goTo launches one pipelined request at a node. Failing to reach the
+// node drops its connection, so the next use re-dials, and comes back
+// retryable.
+func (c *Client) goTo(node hashring.NodeID, payload []byte) (<-chan []byte, error) {
 	conn, err := c.conn(node)
 	if err != nil {
-		return nil, err
+		return nil, retryable(err)
 	}
-	raw, err := conn.Call(payload)
+	ch, err := conn.Go(payload)
 	if err != nil {
 		c.dropConn(node, conn)
-		return nil, err
+		return nil, retryable(err)
+	}
+	return ch, nil
+}
+
+// await waits for the reply to a request goTo launched. A channel
+// closed by a dying connection comes back retryable; the connection
+// itself is dropped by its next goTo.
+func await(ch <-chan []byte) ([]byte, error) {
+	raw, ok := <-ch
+	if !ok {
+		return nil, retryable(fmt.Errorf("cluster: request failed: %w", transport.ErrClosed))
 	}
 	return raw, nil
+}
+
+// callRaw sends one framed request to a node and waits for the reply.
+// Every returned error is transport-class and retryable.
+func (c *Client) callRaw(node hashring.NodeID, payload []byte) ([]byte, error) {
+	ch, err := c.goTo(node, payload)
+	if err != nil {
+		return nil, err
+	}
+	return await(ch)
 }
 
 func (c *Client) call(node hashring.NodeID, msg wire.Message) (wire.Message, error) {
@@ -241,71 +261,61 @@ func (c *Client) call(node hashring.NodeID, msg wire.Message) (wire.Message, err
 	return c.codec.Unmarshal(raw)
 }
 
-// --- Ring refresh -----------------------------------------------------------
+// --- Routing ----------------------------------------------------------------
+
+// route is the client's one re-route policy; every routed operation
+// (Put, Delete, PutBatch, Get, MultiGet, Scan, Count) is an op run
+// under it. route runs op under the current ring and returns op's
+// result unless op failed retryably — a wrong-epoch rejection or an
+// unreachable replica. Then it refreshes the ring and runs op again, at
+// most maxRouteAttempts times in all. When the refresh finds no epoch
+// newer than the one op ran under, the client is the one ahead: a flip
+// is still installing node by node, or a replica is down. Re-routing at
+// once would repeat the failure, so route first sleeps a jittered,
+// doubling backoff (see routeBackoff).
+func (c *Client) route(op func(t *hashring.Topology) error) error {
+	wait := routeBackoff
+	for attempt := 1; ; attempt++ {
+		t := c.topo()
+		err := op(t)
+		if err == nil || !isRetryable(err) || attempt == maxRouteAttempts {
+			return err
+		}
+		c.refreshRing()
+		if c.topo().Epoch() <= t.Epoch() {
+			time.Sleep(wait/2 + rand.N(wait))
+			wait *= 2
+		}
+	}
+}
 
 // refreshRing asks every reachable member for its ring state and
-// adopts the highest epoch seen. Polling all members matters during an
-// epoch flip, which installs the new topology node by node: the member
-// that just rejected a request already has the new state, while another
-// may still answer with the old one — taking the maximum makes one
-// refresh suffice.
-func (c *Client) refreshRing() error {
-	payload, err := c.codec.Marshal(&wire.RingStateRequest{})
-	if err != nil {
-		return err
-	}
+// adopts the highest epoch seen; when no member answers, the ring stays
+// as it was. Polling all members matters during an epoch flip, which
+// installs the new topology node by node: the member that just rejected
+// a request already has the new state, while another may still answer
+// with the old one — taking the maximum makes one refresh suffice.
+func (c *Client) refreshRing() {
 	c.mu.Lock()
 	conns := make(map[hashring.NodeID]*transport.Client, len(c.conns))
 	for id, conn := range c.conns {
 		conns[id] = conn
 	}
 	c.mu.Unlock()
-	lastErr := errors.New("cluster: no members reachable for ring refresh")
 	var best *wire.RingStateResponse
 	for id, conn := range conns {
-		raw, err := conn.Call(payload)
-		if err != nil {
+		rs, err := ringStateRPC(conn, c.codec)
+		if isRetryable(err) {
 			c.dropConn(id, conn)
-			lastErr = err
-			continue
 		}
-		resp, err := c.codec.Unmarshal(raw)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		rs, ok := resp.(*wire.RingStateResponse)
-		if !ok {
-			lastErr = fmt.Errorf("cluster: unexpected ring-state response %T", resp)
-			continue
-		}
-		if rs.ErrMsg != "" {
-			lastErr = errors.New(rs.ErrMsg)
-			continue
-		}
-		if best == nil || rs.Epoch > best.Epoch {
+		if err == nil && (best == nil || rs.Epoch > best.Epoch) {
 			best = rs
 		}
 	}
-	if best == nil {
-		return lastErr
+	if best != nil {
+		ids, addrs := nodesFromWire(best.Nodes)
+		c.adopt(hashring.FromNodes(best.Epoch, ids, int(best.Vnodes)), addrs)
 	}
-	c.adoptRingState(best)
-	return nil
-}
-
-// adoptRingState rebuilds a topology from its wire form and installs it.
-func (c *Client) adoptRingState(rs *wire.RingStateResponse) {
-	ids := make([]hashring.NodeID, 0, len(rs.Nodes))
-	addrs := make(map[hashring.NodeID]string, len(rs.Nodes))
-	for _, n := range rs.Nodes {
-		id := hashring.NodeID(n.ID)
-		ids = append(ids, id)
-		if n.Addr != "" {
-			addrs[id] = n.Addr
-		}
-	}
-	c.adopt(hashring.FromNodes(rs.Epoch, ids, int(rs.Vnodes)), addrs)
 }
 
 // adopt installs a topology (unless it is older than the current one),
@@ -339,60 +349,38 @@ func (c *Client) adopt(topo *hashring.Topology, addrs map[hashring.NodeID]string
 // Put writes one cell to every replica of its partition. The replica
 // RPCs are issued concurrently over the pipelined transport, so a
 // replication factor above one costs one network round trip, not rf.
-// On a wrong-epoch rejection or an unreachable replica the client
-// refreshes its ring and retries the whole write (idempotent: last
-// write wins).
+// Retries follow route; the write is idempotent (last write wins).
 func (c *Client) Put(pk string, ck, value []byte) error {
-	var lastErr error
-	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
-		t := c.topo()
-		payload, err := c.codec.Marshal(&wire.PutRequest{PK: pk, CK: ck, Value: value, Epoch: t.Epoch()})
-		if err != nil {
-			return err
-		}
-		err = c.fanOutWrite(t.Replicas(pk, c.rf), payload)
-		if err == nil {
-			return nil
-		}
-		if !isRetryable(err) {
-			return err
-		}
-		lastErr = err
-		if rerr := c.refreshRing(); rerr != nil {
-			break
-		}
-	}
-	return lastErr
+	return c.route(func(t *hashring.Topology) error {
+		return c.fanOutWrite(t.Replicas(pk, c.rf), &wire.PutRequest{PK: pk, CK: ck, Value: value, Epoch: t.Epoch()})
+	})
 }
 
-// fanOutWrite sends one pre-marshalled write to every listed node
-// concurrently and reaps all acknowledgements, returning the first
-// error (retryable errors win over nothing, but any ack error is
-// reported).
-func (c *Client) fanOutWrite(nodes []hashring.NodeID, payload []byte) error {
-	var firstErr error
-	record := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
+// fanOutWrite marshals one write and sends it to every listed node
+// concurrently, then reaps all acknowledgements (see reapWrites).
+func (c *Client) fanOutWrite(nodes []hashring.NodeID, msg wire.Message) error {
+	payload, err := c.codec.Marshal(msg)
+	if err != nil {
+		return err
 	}
+	var firstErr error
 	chans := make([]<-chan []byte, 0, len(nodes))
 	for _, node := range nodes {
-		conn, err := c.conn(node)
+		ch, err := c.goTo(node, payload)
 		if err != nil {
-			record(retryable(err))
-			continue
-		}
-		ch, err := conn.Go(payload)
-		if err != nil {
-			c.dropConn(node, conn)
-			record(retryable(err))
+			firstErr = cmp.Or(firstErr, err)
 			continue
 		}
 		chans = append(chans, ch)
 	}
+	return c.reapWrites(chans, firstErr)
+}
+
+// reapWrites waits for every in-flight write and returns firstErr, or
+// else the first acknowledgement error.
+func (c *Client) reapWrites(chans []<-chan []byte, firstErr error) error {
 	for _, ch := range chans {
-		record(c.reapPut(ch))
+		firstErr = cmp.Or(firstErr, c.reapPut(ch))
 	}
 	return firstErr
 }
@@ -401,9 +389,9 @@ func (c *Client) fanOutWrite(nodes []hashring.NodeID, payload []byte) error {
 // and converts its response into an error. Wrong-epoch rejections and
 // transport failures come back retryable.
 func (c *Client) reapPut(ch <-chan []byte) error {
-	raw, ok := <-ch
-	if !ok {
-		return retryable(fmt.Errorf("cluster: write failed: %w", transport.ErrClosed))
+	raw, err := await(ch)
+	if err != nil {
+		return err
 	}
 	resp, err := c.codec.Unmarshal(raw)
 	if err != nil {
@@ -431,59 +419,26 @@ func (c *Client) reapPut(ch <-chan []byte) error {
 
 // Delete removes one cell on every replica of its partition — the
 // distributed half of the engine's tombstone write. Routing, replica
-// fan-out, wrong-epoch refresh/re-route and idempotent retries all
-// match Put: the accepting node stamps the tombstone's version and
-// dual-write-forwards it during a migration, so the delete converges to
-// the same winner on every replica even while the range is moving.
+// fan-out and idempotent retries (route) all match Put: the accepting
+// node stamps the tombstone's version and dual-write-forwards it during
+// a migration, so the delete converges to the same winner on every
+// replica even while the range is moving.
 func (c *Client) Delete(pk string, ck []byte) error {
-	var lastErr error
-	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
-		t := c.topo()
-		payload, err := c.codec.Marshal(&wire.DeleteRequest{PK: pk, CK: ck, Epoch: t.Epoch()})
-		if err != nil {
-			return err
-		}
-		err = c.fanOutWrite(t.Replicas(pk, c.rf), payload)
-		if err == nil {
-			return nil
-		}
-		if !isRetryable(err) {
-			return err
-		}
-		lastErr = err
-		if rerr := c.refreshRing(); rerr != nil {
-			break
-		}
-	}
-	return lastErr
+	return c.route(func(t *hashring.Topology) error {
+		return c.fanOutWrite(t.Replicas(pk, c.rf), &wire.DeleteRequest{PK: pk, CK: ck, Epoch: t.Epoch()})
+	})
 }
 
 // PutBatch writes many cells in replica-aware batches: entries are
 // grouped by destination node across all replicas, each node receives
 // one BatchPutRequest, and all node RPCs fly concurrently. Equivalent to
-// a Put per entry, minus the per-cell round trips. Retryable failures
-// (epoch change, unreachable node) refresh the ring and resend the
-// whole batch — idempotent, same as Put.
+// a Put per entry, minus the per-cell round trips. Retries follow
+// route and resend the whole batch — idempotent, same as Put.
 func (c *Client) PutBatch(entries []row.Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	var lastErr error
-	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
-		t := c.topo()
-		err := c.putBatchOnce(t, entries)
-		if err == nil {
-			return nil
-		}
-		if !isRetryable(err) {
-			return err
-		}
-		lastErr = err
-		if rerr := c.refreshRing(); rerr != nil {
-			break
-		}
-	}
-	return lastErr
+	return c.route(func(t *hashring.Topology) error { return c.putBatchOnce(t, entries) })
 }
 
 func (c *Client) putBatchOnce(t *hashring.Topology, entries []row.Entry) error {
@@ -494,43 +449,26 @@ func (c *Client) putBatchOnce(t *hashring.Topology, entries []row.Entry) error {
 		}
 	}
 	var firstErr error
-	record := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-	}
 	chans := make([]<-chan []byte, 0, len(perNode))
 	for node, batch := range perNode {
 		ch, err := c.goBatch(node, batch, t.Epoch())
 		if err != nil {
-			record(err)
+			firstErr = cmp.Or(firstErr, err)
 			continue
 		}
 		chans = append(chans, ch)
 	}
-	for _, ch := range chans {
-		record(c.reapPut(ch))
-	}
-	return firstErr
+	return c.reapWrites(chans, firstErr)
 }
 
-// goBatch launches one asynchronous BatchPutRequest at a node. Errors
-// are transport-class and marked retryable.
+// goBatch launches one asynchronous BatchPutRequest at a node.
+// Transport errors come back retryable.
 func (c *Client) goBatch(node hashring.NodeID, batch []row.Entry, epoch uint64) (<-chan []byte, error) {
-	conn, err := c.conn(node)
-	if err != nil {
-		return nil, retryable(err)
-	}
 	payload, err := c.codec.Marshal(&wire.BatchPutRequest{Entries: batch, Epoch: epoch})
 	if err != nil {
 		return nil, err
 	}
-	ch, err := conn.Go(payload)
-	if err != nil {
-		c.dropConn(node, conn)
-		return nil, retryable(err)
-	}
-	return ch, nil
+	return c.goTo(node, payload)
 }
 
 // --- Reads ------------------------------------------------------------------
@@ -545,65 +483,64 @@ type readServed struct {
 	replicas []hashring.NodeID
 }
 
-// routedRead is the shared failover/refresh loop behind Get, Scan and
-// Count: marshal the request for the current epoch, walk the
+// routedRead is the one-attempt body behind Get, Scan and Count, run
+// under route: marshal the request for the attempt's epoch and walk the
 // partition's replicas on transport errors (a dead primary degrades a
 // read instead of killing it — requires rf > 1 to have somewhere to
-// go), and on a wrong-epoch rejection refresh the ring and re-route.
-// build must stamp the given epoch into the request; errMsgOf extracts
-// the typed response's error message. Sharing the loop keeps the three
-// read paths from diverging on retry or epoch policy.
+// go). A wrong-epoch rejection ends the attempt so route can refresh
+// and re-route. build must stamp the given epoch into the request;
+// errMsgOf extracts the typed response's error message.
 func routedRead[R wire.Message](c *Client, pk string, build func(epoch uint64) wire.Message, errMsgOf func(R) string) (R, readServed, error) {
-	var zero R
-	var lastErr error
-	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
-		t := c.topo()
+	var (
+		resp   R
+		served readServed
+	)
+	err := c.route(func(t *hashring.Topology) error {
 		payload, err := c.codec.Marshal(build(t.Epoch()))
 		if err != nil {
-			return zero, readServed{}, err
+			return err
 		}
 		replicas := t.Replicas(pk, c.rf)
+		var lastErr error
 		for i, node := range replicas {
 			raw, err := c.callRaw(node, payload)
 			if err != nil {
-				lastErr = retryable(err)
+				lastErr = err
 				continue // unreachable replica: try the next one
 			}
-			resp, err := c.codec.Unmarshal(raw)
+			msg, err := c.codec.Unmarshal(raw)
 			if err != nil {
-				return zero, readServed{}, err
+				return err
 			}
-			tr, ok := resp.(R)
+			tr, ok := msg.(R)
 			if !ok {
-				return zero, readServed{}, fmt.Errorf("cluster: unexpected response %T", resp)
+				return fmt.Errorf("cluster: unexpected response %T", msg)
 			}
-			if msg := errMsgOf(tr); msg != "" {
-				if wire.IsWrongEpoch(msg) {
-					lastErr = retryable(errors.New(msg))
-					break // stale ring: refresh, then re-route
+			if m := errMsgOf(tr); m != "" {
+				if wire.IsWrongEpoch(m) {
+					return retryable(errors.New(m))
 				}
-				return zero, readServed{}, errors.New(msg)
+				return errors.New(m)
 			}
 			if i > 0 {
 				c.Failovers.Add(1)
 			}
-			return tr, readServed{node: node, idx: i, replicas: replicas}, nil
+			resp, served = tr, readServed{node: node, idx: i, replicas: replicas}
+			return nil
 		}
-		if err := c.refreshRing(); err != nil {
-			break
+		if lastErr == nil {
+			// An empty ring: a refresh may still find members.
+			lastErr = retryable(fmt.Errorf("cluster: read %q: no replicas", pk))
 		}
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("cluster: read %q: no replicas", pk)
-	}
-	return zero, readServed{}, lastErr
+		return lastErr
+	})
+	return resp, served, err
 }
 
 // Get reads one cell, starting at the partition's primary replica and
-// failing over across replicas; wrong-epoch rejections refresh the
-// ring and re-route (see routedRead). With ClientOptions.ReadRepair, a
-// read that failed over re-propagates the cell it found to the other
-// replicas in the background.
+// failing over across replicas; retries follow route. With
+// ClientOptions.ReadRepair, a read that failed over re-propagates the
+// cell it found to the other replicas in the background.
 func (c *Client) Get(pk string, ck []byte) ([]byte, bool, error) {
 	resp, served, err := routedRead(c, pk,
 		func(epoch uint64) wire.Message { return &wire.GetRequest{PK: pk, CK: ck, Epoch: epoch} },
@@ -658,22 +595,15 @@ func (c *Client) repairAsync(served readServed, ent row.Entry) {
 	go func() {
 		defer c.repairsInFlight.Add(-1)
 		for _, node := range targets {
-			conn, err := c.conn(node)
-			if err != nil {
-				continue
-			}
-			if _, err := conn.Call(payload); err != nil {
-				c.dropConn(node, conn)
-			}
+			_, _ = c.callRaw(node, payload)
 		}
 	}()
 }
 
 // MultiGet reads many cells, one MultiGetRequest per involved node, all
 // in flight at once. Results are positional: out[i] answers keys[i].
-// Keys on an unreachable node are retried against their next replica;
-// a wrong-epoch rejection refreshes the ring and re-routes the
-// remaining keys.
+// Within an attempt, keys on an unreachable node fail over to their
+// next replica; retries follow route and re-send only unresolved keys.
 func (c *Client) MultiGet(keys []wire.GetKey) ([]wire.MultiGetValue, error) {
 	out := make([]wire.MultiGetValue, len(keys))
 	if len(keys) == 0 {
@@ -682,113 +612,97 @@ func (c *Client) MultiGet(keys []wire.GetKey) ([]wire.MultiGetValue, error) {
 	resolved := make([]bool, len(keys))
 	replicaTry := make([]int, len(keys)) // per-key failover offset
 	remaining := len(keys)
-	var lastErr error
+	type pendingGet struct {
+		idx []int
+		ch  <-chan []byte
+	}
 
-	for attempt := 0; attempt < maxRouteAttempts && remaining > 0; attempt++ {
-		t := c.topo()
-		perNode := make(map[hashring.NodeID][]int)
-		for i, k := range keys {
-			if resolved[i] {
-				continue
+	err := c.route(func(t *hashring.Topology) error {
+		var lastErr error
+		failNode := func(idx []int, err error) {
+			lastErr = err
+			for _, i := range idx {
+				replicaTry[i]++ // fail over to the next replica
 			}
-			replicas := t.Replicas(k.PK, c.rf)
-			if len(replicas) == 0 {
-				return nil, fmt.Errorf("cluster: multi-get %q: empty ring", k.PK)
-			}
-			node := replicas[replicaTry[i]%len(replicas)]
-			perNode[node] = append(perNode[node], i)
 		}
-
-		type pendingGet struct {
-			node hashring.NodeID
-			idx  []int
-			ch   <-chan []byte
-			err  error
-		}
-		pending := make([]pendingGet, 0, len(perNode))
-		for node, idx := range perNode {
-			p := pendingGet{node: node, idx: idx}
-			sub := make([]wire.GetKey, len(idx))
-			for j, i := range idx {
-				sub[j] = keys[i]
-			}
-			conn, err := c.conn(node)
-			if err != nil {
-				p.err = err
-			} else {
-				payload, merr := c.codec.Marshal(&wire.MultiGetRequest{Keys: sub, Epoch: t.Epoch()})
-				if merr != nil {
-					return nil, merr
+		// Each round sends every unresolved key to its next replica, so
+		// rf rounds try each replica once before route re-routes.
+		for round := 0; round < c.rf; round++ {
+			perNode := make(map[hashring.NodeID][]int)
+			for i, k := range keys {
+				if resolved[i] {
+					continue
 				}
-				p.ch, err = conn.Go(payload)
+				replicas := t.Replicas(k.PK, c.rf)
+				if len(replicas) == 0 {
+					return fmt.Errorf("cluster: multi-get %q: empty ring", k.PK)
+				}
+				node := replicas[replicaTry[i]%len(replicas)]
+				perNode[node] = append(perNode[node], i)
+			}
+
+			pending := make([]pendingGet, 0, len(perNode))
+			for node, idx := range perNode {
+				sub := make([]wire.GetKey, len(idx))
+				for j, i := range idx {
+					sub[j] = keys[i]
+				}
+				payload, err := c.codec.Marshal(&wire.MultiGetRequest{Keys: sub, Epoch: t.Epoch()})
 				if err != nil {
-					c.dropConn(node, conn)
-					p.err = err
+					return err
 				}
+				ch, err := c.goTo(node, payload)
+				if err != nil {
+					failNode(idx, err)
+					continue
+				}
+				pending = append(pending, pendingGet{idx: idx, ch: ch})
 			}
-			pending = append(pending, p)
-		}
 
-		needRefresh := false
-		for _, p := range pending {
-			failNode := func(err error) {
-				lastErr = retryable(err)
-				for _, i := range p.idx {
-					replicaTry[i]++ // fail over to the next replica
+			var epochErr error
+			for _, p := range pending {
+				raw, err := await(p.ch)
+				if err != nil {
+					failNode(p.idx, err)
+					continue
 				}
-			}
-			if p.err != nil {
-				failNode(p.err)
-				continue
-			}
-			raw, ok := <-p.ch
-			if !ok {
-				failNode(fmt.Errorf("cluster: multi-get failed: %w", transport.ErrClosed))
-				continue
-			}
-			resp, err := c.codec.Unmarshal(raw)
-			if err != nil {
-				return nil, err
-			}
-			mr, ok := resp.(*wire.MultiGetResponse)
-			if !ok {
-				return nil, fmt.Errorf("cluster: unexpected response %T", resp)
-			}
-			if mr.ErrMsg != "" {
-				if wire.IsWrongEpoch(mr.ErrMsg) {
-					lastErr = retryable(errors.New(mr.ErrMsg))
-					needRefresh = true
-					continue // keys stay unresolved; re-routed next attempt
+				resp, err := c.codec.Unmarshal(raw)
+				if err != nil {
+					return err
 				}
-				return nil, errors.New(mr.ErrMsg)
-			}
-			if len(mr.Values) != len(p.idx) {
-				return nil, fmt.Errorf("cluster: multi-get returned %d values for %d keys", len(mr.Values), len(p.idx))
-			}
-			for j, i := range p.idx {
-				out[i] = mr.Values[j]
-				if !resolved[i] {
+				mr, ok := resp.(*wire.MultiGetResponse)
+				if !ok {
+					return fmt.Errorf("cluster: unexpected response %T", resp)
+				}
+				if mr.ErrMsg != "" {
+					if wire.IsWrongEpoch(mr.ErrMsg) {
+						epochErr = retryable(errors.New(mr.ErrMsg))
+						continue // keys stay unresolved; route re-routes them
+					}
+					return errors.New(mr.ErrMsg)
+				}
+				if len(mr.Values) != len(p.idx) {
+					return fmt.Errorf("cluster: multi-get returned %d values for %d keys", len(mr.Values), len(p.idx))
+				}
+				for j, i := range p.idx {
+					out[i] = mr.Values[j]
 					resolved[i] = true
-					remaining--
 				}
+				remaining -= len(p.idx)
+			}
+			if remaining == 0 {
+				return nil
+			}
+			if epochErr != nil {
+				return epochErr
 			}
 		}
-		if remaining == 0 {
-			return out, nil
-		}
-		if needRefresh || lastErr != nil {
-			if err := c.refreshRing(); err != nil && needRefresh {
-				return nil, lastErr
-			}
-		}
+		return lastErr
+	})
+	if err != nil {
+		return nil, err
 	}
-	if remaining == 0 {
-		return out, nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("cluster: multi-get incomplete")
-	}
-	return nil, lastErr
+	return out, nil
 }
 
 // Scan reads a clustering range of a partition, failing over across
@@ -876,8 +790,8 @@ type MasterResult struct {
 // up front, issues one CountRequest per key to the key's primary node,
 // and aggregates the responses. Stage timings land in the result trace.
 // The topology is snapshotted once at query start; requests are
-// epoch-agnostic, so a concurrent rebalance shows up as per-request
-// errors (counted), not a failed query.
+// epoch-agnostic, so a concurrent rebalance or an unreachable node shows
+// up as per-request errors (counted), not a failed query.
 func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, error) {
 	logSink := opts.LogSink
 	if logSink == nil {
@@ -940,13 +854,10 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 				return nil, errors.New("cluster: integrity check mismatch")
 			}
 		}
-		conn, err := c.conn(node)
+		ch, err := c.goTo(node, payload)
 		if err != nil {
-			return nil, err
-		}
-		ch, err := conn.Go(payload)
-		if err != nil {
-			return nil, err
+			res.Errors++
+			continue
 		}
 		res.BytesSent += int64(len(payload))
 		pending = append(pending, pendingResp{seq: uint32(i), node: node, sentAbs: sendAbs, ch: ch})

@@ -6,8 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"scalekv/internal/hashring"
+	"scalekv/internal/row"
 	"scalekv/internal/storage"
 	"scalekv/internal/wire"
 )
@@ -420,6 +422,78 @@ func TestStaleClientRecoversViaWrongEpoch(t *testing.T) {
 	}
 	if v, found, err := c.Client().Get("post-join", []byte("ck")); err != nil || !found || string(v) != "v" {
 		t.Fatalf("stale client's post-join write lost: %v %v", err, found)
+	}
+}
+
+// TestClientAheadOfLaggingNode pins the route policy on every routed op:
+// a client that adopted epoch N+1 while one member still runs at N (a
+// flip installing node by node) must back off rather than spend its
+// attempts at once. It succeeds when the member installs a few ms late,
+// and fails with the node's wrong-epoch error in bounded time when the
+// member never installs.
+func TestClientAheadOfLaggingNode(t *testing.T) {
+	ck := []byte("ck")
+	ops := []struct {
+		name string
+		run  func(cl *Client, pk string) error
+	}{
+		{"Put", func(cl *Client, pk string) error { return cl.Put(pk, ck, []byte("v")) }},
+		{"Delete", func(cl *Client, pk string) error { return cl.Delete(pk, ck) }},
+		{"PutBatch", func(cl *Client, pk string) error {
+			return cl.PutBatch([]row.Entry{{PK: pk, CK: ck, Value: []byte("v")}})
+		}},
+		{"Get", func(cl *Client, pk string) error { _, _, err := cl.Get(pk, ck); return err }},
+		{"MultiGet", func(cl *Client, pk string) error {
+			_, err := cl.MultiGet([]wire.GetKey{{PK: pk, CK: ck}})
+			return err
+		}},
+		{"Scan", func(cl *Client, pk string) error { _, err := cl.Scan(pk, nil, nil); return err }},
+		{"Count", func(cl *Client, pk string) error { _, _, err := cl.Count(pk); return err }},
+	}
+	// lagging returns a 2-node cluster whose client and node 0 run one
+	// epoch ahead of node 1 (placement unchanged), the topology node 1
+	// has yet to install, and a key whose primary is node 1.
+	lagging := func(t *testing.T) (*Cluster, *hashring.Topology, string) {
+		c := startTest(t, LocalOptions{Nodes: 2})
+		cur := c.Topology()
+		next := hashring.FromNodes(cur.Epoch()+1, cur.Nodes(), cur.Vnodes())
+		c.Nodes[0].SetRingState(next, c.addrs)
+		c.Client().adopt(next, nil)
+		for i := 0; ; i++ {
+			if pk := fmt.Sprintf("lag-%d", i); next.Primary(pk) == c.Nodes[1].ID() {
+				return c, next, pk
+			}
+		}
+	}
+	// A failed operation backs off 0.5 to 1.5 × (2+4+8+16+32) ms in all
+	// (see routeBackoff); the ceiling leaves room for a loaded
+	// race-enabled run.
+	const minWait, maxWait = 31 * time.Millisecond, 200 * time.Millisecond
+	for _, op := range ops {
+		t.Run(op.name+"/installs-late", func(t *testing.T) {
+			c, next, pk := lagging(t)
+			installed := make(chan struct{})
+			time.AfterFunc(3*time.Millisecond, func() {
+				c.Nodes[1].SetRingState(next, c.addrs)
+				close(installed)
+			})
+			if err := op.run(c.Client(), pk); err != nil {
+				t.Fatalf("%s while node 1 installs late: %v", op.name, err)
+			}
+			<-installed
+		})
+		t.Run(op.name+"/never-installs", func(t *testing.T) {
+			c, _, pk := lagging(t)
+			start := time.Now()
+			err := op.run(c.Client(), pk)
+			elapsed := time.Since(start)
+			if err == nil || !wire.IsWrongEpoch(err.Error()) {
+				t.Fatalf("%s against a node that never installs: err=%v, want wrong epoch", op.name, err)
+			}
+			if elapsed < minWait || elapsed > maxWait {
+				t.Fatalf("%s gave up after %v, want backoff within [%v, %v]", op.name, elapsed, minWait, maxWait)
+			}
+		})
 	}
 }
 

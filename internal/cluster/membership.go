@@ -490,7 +490,9 @@ func (n *Node) handleJoin(req *wire.JoinRequest) *wire.JoinResponse {
 
 // --- Process bootstrap ------------------------------------------------------
 
-// ringStateRPC asks one connection for its ring state.
+// ringStateRPC asks one connection for its ring state. A failed call
+// comes back retryable, telling Client.refreshRing to drop the
+// connection.
 func ringStateRPC(conn transport.Caller, codec wire.Codec) (*wire.RingStateResponse, error) {
 	payload, err := codec.Marshal(&wire.RingStateRequest{})
 	if err != nil {
@@ -498,7 +500,7 @@ func ringStateRPC(conn transport.Caller, codec wire.Codec) (*wire.RingStateRespo
 	}
 	raw, err := conn.Call(payload)
 	if err != nil {
-		return nil, err
+		return nil, retryable(err)
 	}
 	resp, err := codec.Unmarshal(raw)
 	if err != nil {

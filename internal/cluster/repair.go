@@ -114,7 +114,7 @@ func (c *Cluster) Repair(rf int) (*RepairReport, error) {
 // it often enough that deletes repair before their tombstones are
 // collected.
 func (c *Client) RepairAll(rf int) (*RepairReport, error) {
-	_ = c.refreshRing()
+	c.refreshRing()
 	return c.RepairRange(math.MinInt64, math.MaxInt64, rf)
 }
 
@@ -126,7 +126,7 @@ func (c *Client) RepairAll(rf int) (*RepairReport, error) {
 // re-syncs the earlier owners so all of them end on that state; a
 // second call over converged replicas ships nothing. Independent
 // ranges are repaired concurrently through a bounded worker pool
-// (ClientOptions.RepairConcurrency wide), so a converged pass's wall
+// (repairConcurrency wide), so a converged pass's wall
 // clock is dominated by the slowest range, not the sum of all digests.
 func (c *Client) RepairRange(lo, hi int64, rf int) (*RepairReport, error) {
 	return c.repairRanges(lo, hi, rf, nil, nil)
@@ -138,6 +138,11 @@ type repairJob struct {
 	lo, hi int64
 	owners []hashring.NodeID
 }
+
+// repairConcurrency is the anti-entropy pool width: wide enough to
+// overlap digest round trips across ranges, narrow enough that repair
+// traffic cannot crowd out foreground reads on the replicas.
+const repairConcurrency = 4
 
 // repairRanges is the pool behind RepairRange and Cluster.Repair. The
 // ranges of OwnedRanges are disjoint, so workers never race on a cell:
@@ -181,13 +186,7 @@ func (c *Client) repairRanges(lo, hi int64, rf int, fence func(lo, hi int64) fun
 		}
 		jobs = append(jobs, repairJob{lo: rlo, hi: rhi, owners: or.Owners})
 	}
-	conc := c.repairConc
-	if conc > len(jobs) {
-		conc = len(jobs)
-	}
-	if conc < 1 {
-		conc = 1
-	}
+	conc := max(min(repairConcurrency, len(jobs)), 1)
 
 	rep := &RepairReport{}
 	var (
