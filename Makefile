@@ -110,11 +110,12 @@ bench-sstable:
 deploy-smoke:
 	./scripts/deploy_smoke.sh
 
-# Short fuzz pass over the v3 block codec: decode must never panic on
-# arbitrary bytes and encode→decode must round-trip. CI runs this as a
-# smoke; local soak: raise -fuzztime.
+# Short fuzz passes over the v3 block codec and the two wire codecs:
+# decode must never panic on arbitrary bytes and encode→decode must
+# round-trip. CI runs this as a smoke; local soak: raise -fuzztime.
 fuzz-smoke:
 	go test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/sstable/
+	go test -run=NONE -fuzz=FuzzCodecs -fuzztime=10s ./internal/wire/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

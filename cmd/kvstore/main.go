@@ -225,14 +225,9 @@ func status(args []string) {
 			fmt.Printf("node %d @ %s: unexpected reply %T\n", m.ID, m.Addr, resp)
 			continue
 		}
-		var memBytes uint64
-		var tables uint32
-		for _, s := range st.Shards {
-			memBytes += s.MemtableBytes
-			tables += s.SSTables
-		}
 		fmt.Printf("node %d @ %s: epoch %d, memtable %d KiB, %d sstables, %d flushes, dials %d (+%d redials)\n",
-			m.ID, m.Addr, st.Epoch, memBytes/1024, tables, st.FlushCount, st.DialCount, st.RedialCount)
+			m.ID, m.Addr, st.Epoch, st.Metric("memtable_bytes")/1024, st.Metric("sstables"),
+			st.Metric("flushes_total"), st.Metric("dials_total"), st.Metric("redials_total"))
 		peers := append([]wire.PeerStat(nil), st.Peers...)
 		sort.Slice(peers, func(i, j int) bool { return peers[i].ID < peers[j].ID })
 		for _, p := range peers {

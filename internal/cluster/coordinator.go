@@ -490,10 +490,7 @@ func (co *coordinator) pickSources(old *hashring.Topology, moves []hashring.Rang
 		var total int64 = math.MaxInt64
 		if resp, err := co.call(addrs[id], &wire.NodeStatsRequest{}); err == nil {
 			if ns, ok := resp.(*wire.NodeStatsResponse); ok && ns.ErrMsg == "" {
-				total = 0
-				for _, sh := range ns.Shards {
-					total += int64(sh.MemtableBytes)
-				}
+				total = int64(ns.Metric("memtable_bytes"))
 			}
 		}
 		backlog[id] = total

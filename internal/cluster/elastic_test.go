@@ -3,6 +3,9 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"os"
+	"regexp"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -545,9 +548,20 @@ func TestBatcherBufferSurvivesEpochFlip(t *testing.T) {
 	}
 }
 
+// gaugeMetric matches the node metrics that are current levels rather
+// than counters; levelMetric matches the per-level prefix.
+var (
+	gaugeMetric = regexp.MustCompile(`^(memtable_bytes|frozen_memtables|sstables|l\d+_tables|l\d+_bytes|cache_bytes)$`)
+	levelMetric = regexp.MustCompile(`^l\d+_`)
+)
+
 // TestNodeStatsOverWire covers the coordinator's source-selection
 // input: engine stats served through the wire protocol.
 func TestNodeStatsOverWire(t *testing.T) {
+	msgDoc, err := os.ReadFile("../wire/message.go")
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := startTest(t, LocalOptions{Nodes: 2, Storage: storage.Options{DisableWAL: true}})
 	for i := 0; i < 500; i++ {
 		if err := c.Client().Put(fmt.Sprintf("p-%d", i), []byte("ck"), make([]byte, 128)); err != nil {
@@ -563,12 +577,26 @@ func TestNodeStatsOverWire(t *testing.T) {
 		if st.Epoch != c.Topology().Epoch() {
 			t.Fatalf("stats epoch %d want %d", st.Epoch, c.Topology().Epoch())
 		}
-		if len(st.Shards) == 0 {
-			t.Fatal("stats carry no shards")
+		// Names are unique, counters end in _total, gauges do not, and
+		// every name is documented on NodeStatsResponse.
+		seen := make(map[string]bool)
+		for _, m := range st.Metrics {
+			if seen[m.Name] {
+				t.Fatalf("metric %q reported twice", m.Name)
+			}
+			seen[m.Name] = true
+			if gaugeMetric.MatchString(m.Name) == strings.HasSuffix(m.Name, "_total") {
+				t.Errorf("metric %q: a counter must end in _total and a gauge must not", m.Name)
+			}
+			doc := "//\t" + levelMetric.ReplaceAllString(m.Name, "l<N>_")
+			if !strings.Contains(string(msgDoc), doc+" ") && !strings.Contains(string(msgDoc), doc+"\n") {
+				t.Errorf("metric %q is not documented on NodeStatsResponse", m.Name)
+			}
 		}
-		for _, sh := range st.Shards {
-			memBytes += sh.MemtableBytes
+		if !seen["topology_persist_failures_total"] || !seen["repair_failures_total"] {
+			t.Fatalf("failure counters missing: %v", st.Metrics)
 		}
+		memBytes += st.Metric("memtable_bytes")
 	}
 	if memBytes == 0 {
 		t.Fatal("no memtable bytes visible through node stats")

@@ -46,7 +46,8 @@ const defaultSuspicionThreshold = 3
 // peerPool holds one Redialer per peer address. Redialers heal broken
 // connections with capped exponential backoff, so a bounced peer
 // process is re-dialed instead of permanently failed; their dial and
-// redial counts aggregate into NodeStatsResponse.
+// redial counts ship as NodeStatsResponse's dials_total and
+// redials_total.
 type peerPool struct {
 	dial Dialer
 
@@ -324,6 +325,7 @@ func (n *Node) repairLoop() {
 		case <-n.repairKick:
 		}
 		if _, err := n.RepairNow(); err != nil {
+			n.repairFailures.Add(1)
 			slog.Warn("cluster: repair pass failed", "node", n.id, "pass", pass, "err", err)
 		}
 	}

@@ -527,7 +527,8 @@ func (b *lockedBuffer) String() string {
 // epoch says so. A directory squatting on the topology file's temp path
 // leaves the data directory unwritable for the snapshot — for any user,
 // root included — so the install's save fails; the flip still takes
-// effect in memory and the failure reaches the default slog handler.
+// effect in memory, the failure reaches the default slog handler, and
+// the node's topology_persist_failures_total counter records it.
 func TestRingInstallLogsPersistFailure(t *testing.T) {
 	var logs lockedBuffer
 	prev := slog.Default()
@@ -559,5 +560,8 @@ func TestRingInstallLogsPersistFailure(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("log lacks %q:\n%s", want, out)
 		}
+	}
+	if got := node.statsResponse().Metric("topology_persist_failures_total"); got != 1 {
+		t.Fatalf("topology_persist_failures_total = %d, want 1", got)
 	}
 }

@@ -162,6 +162,11 @@ type Node struct {
 	// self-scheduled anti-entropy activity (kicked passes included).
 	RepairPasses       atomic.Int64
 	RepairCellsShipped atomic.Int64
+
+	// persistFailures and repairFailures count the background errors
+	// installRing and repairLoop log; both ship in NodeStatsResponse.
+	persistFailures atomic.Int64
+	repairFailures  atomic.Int64
 }
 
 // StartNode opens the node's engine and serves the wire protocol on the
@@ -250,6 +255,7 @@ func (n *Node) installRing(topo *hashring.Topology, addrs map[hashring.NodeID]st
 	n.ring.Store(&ringState{topo: topo, addrs: copyAddrs(addrs), rf: rf})
 	if persist && n.dir != "" {
 		if err := saveTopologyFile(n.dir, topo, addrs, rf); err != nil {
+			n.persistFailures.Add(1)
 			slog.Warn("cluster: topology persist failed", "node", n.id, "epoch", topo.Epoch(), "err", err)
 		}
 	}
@@ -659,26 +665,39 @@ func (n *Node) handleDigest(req *wire.DigestRequest) *wire.DigestResponse {
 	return resp
 }
 
-// statsResponse summarizes the engine for the coordinator.
+// statsResponse reports the node's epoch, peer health and metrics. It
+// is the one place that names node metrics; the NodeStatsResponse doc
+// comment lists them.
 func (n *Node) statsResponse() *wire.NodeStatsResponse {
 	st := n.engine.Stats()
-	resp := &wire.NodeStatsResponse{
-		FlushedBytes:       uint64(st.FlushedBytes),
-		FlushCount:         uint64(st.Flushes),
-		CompactionCount:    uint64(st.Compactions),
-		CompactionBytesIn:  uint64(st.CompactionBytesIn),
-		CompactionBytesOut: uint64(st.CompactionBytesOut),
-		CacheHits:          uint64(st.BlockCacheHits),
-		CacheMisses:        uint64(st.BlockCacheMisses),
-		CacheEvictions:     uint64(st.BlockCacheEvictions),
-		CacheBytes:         uint64(st.BlockCacheBytes),
-		BlockBytesLogical:  uint64(st.BlockBytesLogical),
-		BlockBytesStored:   uint64(st.BlockBytesStored),
+	resp := &wire.NodeStatsResponse{}
+	add := func(name string, v int64) {
+		resp.Metrics = append(resp.Metrics, wire.Metric{Name: name, Value: uint64(v)})
 	}
-	for _, ls := range st.Levels {
-		resp.LevelTables = append(resp.LevelTables, uint32(ls.Tables))
-		resp.LevelBytes = append(resp.LevelBytes, uint64(ls.Bytes))
+	add("memtable_bytes", st.MemtableBytes)
+	add("frozen_memtables", int64(st.FrozenMemtables))
+	add("sstables", int64(st.SSTables))
+	for level, ls := range st.Levels {
+		add(fmt.Sprintf("l%d_tables", level), int64(ls.Tables))
+		add(fmt.Sprintf("l%d_bytes", level), ls.Bytes)
 	}
+	add("cache_bytes", st.BlockCacheBytes)
+	add("flushes_total", st.Flushes)
+	add("flushed_bytes_total", st.FlushedBytes)
+	add("compactions_total", st.Compactions)
+	add("compact_in_bytes_total", st.CompactionBytesIn)
+	add("compact_out_bytes_total", st.CompactionBytesOut)
+	add("cache_hits_total", st.BlockCacheHits)
+	add("cache_misses_total", st.BlockCacheMisses)
+	add("cache_evictions_total", st.BlockCacheEvictions)
+	add("block_raw_bytes_total", st.BlockBytesLogical)
+	add("block_disk_bytes_total", st.BlockBytesStored)
+	dials, redials := n.peers.stats()
+	add("dials_total", int64(dials))
+	add("redials_total", int64(redials))
+	add("topology_persist_failures_total", n.persistFailures.Load())
+	add("repair_failures_total", n.repairFailures.Load())
+
 	if rs := n.ring.Load(); rs != nil {
 		resp.Epoch = rs.topo.Epoch()
 	}
@@ -688,14 +707,6 @@ func (n *Node) statsResponse() *wire.NodeStatsResponse {
 			Up:          ps.Up,
 			Suspicion:   uint32(ps.Suspicion),
 			SinceMillis: uint64(time.Since(ps.Since).Milliseconds()),
-		})
-	}
-	resp.DialCount, resp.RedialCount = n.peers.stats()
-	for _, sh := range st.Shards {
-		resp.Shards = append(resp.Shards, wire.ShardStat{
-			MemtableBytes:   uint64(sh.MemtableBytes + sh.FrozenBytes),
-			FrozenMemtables: uint32(sh.FrozenMemtables),
-			SSTables:        uint32(sh.SSTables),
 		})
 	}
 	return resp

@@ -107,9 +107,6 @@ type Options struct {
 	// blocks, disabling intra-partition seeks (the Figure 6 ablation
 	// knob).
 	ColumnIndexSize int
-	// RowCachePartitions enables an LRU row cache holding that many
-	// partitions. 0 disables it.
-	RowCachePartitions int
 	// BlockCacheBytes bounds the engine-wide cache of decompressed
 	// SSTable blocks and lazily-loaded table metadata, shared across
 	// every shard's tables. 0 means 64MB; negative disables the cache
@@ -168,9 +165,6 @@ func (o *Options) withDefaults() Options {
 // Metrics counts the engine's physical work. All fields are cumulative.
 type Metrics struct {
 	Puts         atomic.Int64
-	Gets         atomic.Int64
-	Scans        atomic.Int64
-	Deletes      atomic.Int64
 	Flushes      atomic.Int64
 	FlushedBytes atomic.Int64
 	Compactions  atomic.Int64
@@ -183,9 +177,6 @@ type Metrics struct {
 	RangePurges        atomic.Int64
 	TombstonesGCed     atomic.Int64
 	BloomSkips         atomic.Int64
-	SSTablesTouched    atomic.Int64
-	CacheHits          atomic.Int64
-	CacheMisses        atomic.Int64
 	// BlockBytesLogical/Stored accumulate the uncompressed payload vs
 	// on-disk size of every data block written by flush and compaction —
 	// Stored/Logical is the engine's cumulative compression ratio.
@@ -199,7 +190,6 @@ var errClosed = errors.New("storage: engine closed")
 type Engine struct {
 	opts   Options
 	shards []*shard
-	rcache *rowCache           // nil when disabled
 	bcache *sstable.BlockCache // nil when disabled
 	wg     sync.WaitGroup
 	closed atomic.Bool
@@ -213,12 +203,6 @@ type Engine struct {
 	// after a remote copy arrives always orders after it. Restored on
 	// open from the WAL and SSTable max sequences.
 	seq atomic.Uint64
-
-	// purgeGen counts DeleteRange purges; reads snapshot it before
-	// merging a partition and skip the row-cache fill when it moved, so
-	// an in-flight read cannot re-cache a partition a concurrent purge
-	// just removed.
-	purgeGen atomic.Int64
 
 	// idxMu/partIdx are the engine-wide cached partition index shared by
 	// every token-range operation; per-shard partGen counters invalidate
@@ -269,9 +253,6 @@ func Open(opts Options) (*Engine, error) {
 	opts.Shards = nshards
 
 	e := &Engine{opts: opts}
-	if opts.RowCachePartitions > 0 {
-		e.rcache = newRowCache(opts.RowCachePartitions)
-	}
 	if opts.BlockCacheBytes > 0 {
 		e.bcache = sstable.NewBlockCache(opts.BlockCacheBytes)
 	}
@@ -375,10 +356,6 @@ func (e *Engine) shardIndex(pk string) int {
 	return int(murmur.StringSum64(pk) % uint64(len(e.shards)))
 }
 
-// cache returns the row cache, which is nil when disabled; every
-// rowCache method tolerates a nil receiver.
-func (e *Engine) cache() *rowCache { return e.rcache }
-
 // BlockCacheStats snapshots the shared block cache's counters; all-zero
 // when the cache is disabled.
 func (e *Engine) BlockCacheStats() sstable.CacheStats {
@@ -434,7 +411,6 @@ func (e *Engine) Put(pk string, ck, value []byte) error {
 // durable write: it is WAL-logged, survives flush, compaction and
 // reopen, and replicates like a put.
 func (e *Engine) Delete(pk string, ck []byte) error {
-	e.Metrics.Deletes.Add(1)
 	return e.write(pk, ck, nil, e.stamp(), true)
 }
 
@@ -473,7 +449,6 @@ func (e *Engine) write(pk string, ck, value []byte, ver row.Version, tombstone b
 		s.freezeLocked()
 	}
 	s.mu.Unlock()
-	e.cache().invalidate(pk)
 	return nil
 }
 
@@ -525,42 +500,26 @@ func (e *Engine) PutBatch(entries []row.Entry) error {
 	if maxIncoming > 0 {
 		e.advanceSeq(maxIncoming)
 	}
-	// Single-entry batches are the wire put path (the node applies
-	// through PutBatch to read the stamp back for forwarding); skip the
-	// bucketing machinery for them.
-	if len(entries) == 1 {
-		err := e.shardFor(entries[0].PK).putBatch(entries)
-		e.cache().invalidate(entries[0].PK)
-		return err
+	// Single-entry batches (the wire put path: the node applies through
+	// PutBatch to read the stamp back for forwarding) and single-shard
+	// engines skip the bucketing machinery.
+	if len(entries) == 1 || len(e.shards) == 1 {
+		return e.shardFor(entries[0].PK).putBatch(entries)
 	}
-	var err error
-	if len(e.shards) == 1 {
-		err = e.shards[0].putBatch(entries)
-	} else {
-		buckets := make([][]row.Entry, len(e.shards))
-		for _, ent := range entries {
-			i := e.shardIndex(ent.PK)
-			buckets[i] = append(buckets[i], ent)
+	buckets := make([][]row.Entry, len(e.shards))
+	for _, ent := range entries {
+		i := e.shardIndex(ent.PK)
+		buckets[i] = append(buckets[i], ent)
+	}
+	for i, b := range buckets {
+		if len(b) == 0 {
+			continue
 		}
-		for i, b := range buckets {
-			if len(b) == 0 {
-				continue
-			}
-			if err = e.shards[i].putBatch(b); err != nil {
-				break
-			}
+		if err := e.shards[i].putBatch(b); err != nil {
+			return err
 		}
 	}
-	// Invalidate each distinct partition once; batches arrive grouped, so
-	// skipping consecutive repeats covers the common case cheaply.
-	lastPK := ""
-	for i, ent := range entries {
-		if i == 0 || ent.PK != lastPK {
-			e.cache().invalidate(ent.PK)
-			lastPK = ent.PK
-		}
-	}
-	return err
+	return nil
 }
 
 // Get returns the live value for (pk, ck): the highest-versioned cell
@@ -581,7 +540,6 @@ func (e *Engine) Get(pk string, ck []byte) ([]byte, bool, error) {
 // is deleted (Get reports it as absent). The cluster's read path uses
 // the version for read-repair.
 func (e *Engine) GetVersioned(pk string, ck []byte) (row.Cell, bool, error) {
-	e.Metrics.Gets.Add(1)
 	view := e.shardFor(pk).snapshot()
 	defer view.close()
 
@@ -613,7 +571,6 @@ func (e *Engine) GetVersioned(pk string, ck []byte) (row.Cell, bool, error) {
 			e.Metrics.BloomSkips.Add(1)
 			continue
 		}
-		e.Metrics.SSTablesTouched.Add(1)
 		cells, err := t.ReadSlice(pk, ck, nextKey(ck))
 		if err == sstable.ErrNotFound {
 			continue
@@ -640,28 +597,11 @@ func nextKey(ck []byte) []byte {
 // from <= CK < to, the highest version winning and tombstones masking
 // what they shadow. Nil bounds mean unbounded.
 func (e *Engine) ScanPartition(pk string, from, to []byte) ([]row.Cell, error) {
-	e.Metrics.Scans.Add(1)
-	if from == nil && to == nil {
-		if cells, ok := e.cache().get(pk); ok {
-			e.Metrics.CacheHits.Add(1)
-			return cells, nil
-		}
-		e.Metrics.CacheMisses.Add(1)
-	}
-
-	purgeGen := e.purgeGen.Load()
 	merged, err := e.scanPartitionRaw(pk, from, to)
 	if err != nil {
 		return nil, err
 	}
-	live := row.DropTombstones(merged)
-	// Cache only if no DeleteRange ran while this read was merging: the
-	// purge invalidates the cache when it finishes, and a stale fill
-	// after that would serve deleted data indefinitely.
-	if from == nil && to == nil && e.purgeGen.Load() == purgeGen {
-		e.cache().put(pk, live)
-	}
-	return live, nil
+	return row.DropTombstones(merged), nil
 }
 
 // scanPartitionRaw merges a partition across every source by version,
@@ -671,17 +611,16 @@ func (e *Engine) scanPartitionRaw(pk string, from, to []byte) ([]row.Cell, error
 	view := e.shardFor(pk).snapshot()
 	defer view.close()
 
-	// Sources oldest to newest so row.Merge's tie-break (equal versions:
-	// later source wins) preserves the historical newest-table-wins
-	// order for pre-versioning cells: SSTables, then frozen memtables,
-	// then the active memtable.
+	// Sources oldest to newest — SSTables, then frozen memtables, then
+	// the active memtable — because row.Merge breaks an exact version
+	// tie in favour of the later source, matching GetVersioned's
+	// newest-source-wins tie-break.
 	sources := make([][]row.Cell, 0, len(view.tables)+len(view.frozen)+1)
 	for _, t := range view.tables {
 		if !t.MayContain(pk) {
 			e.Metrics.BloomSkips.Add(1)
 			continue
 		}
-		e.Metrics.SSTablesTouched.Add(1)
 		cells, err := t.ReadSlice(pk, from, to)
 		if err == sstable.ErrNotFound {
 			continue

@@ -243,11 +243,11 @@ func TestPutBatchEmptyAndClosed(t *testing.T) {
 	}
 }
 
-func TestPutBatchInvalidatesRowCache(t *testing.T) {
-	e := openTest(t, Options{DisableWAL: true, RowCachePartitions: 4})
+func TestPutBatchOverwriteVisibleToScan(t *testing.T) {
+	e := openTest(t, Options{DisableWAL: true})
 	e.Put("hot", ck(0), []byte("old"))
 	if _, err := e.ScanPartition("hot", nil, nil); err != nil {
-		t.Fatal(err) // populate the cache
+		t.Fatal(err)
 	}
 	if err := e.PutBatch([]row.Entry{{PK: "hot", CK: ck(0), Value: []byte("new")}}); err != nil {
 		t.Fatal(err)
@@ -525,33 +525,6 @@ func TestPartitionsUnion(t *testing.T) {
 	got := e.Partitions()
 	if len(got) != 2 || got[0] != "flushed" || got[1] != "memonly" {
 		t.Fatalf("partitions %v", got)
-	}
-}
-
-func TestRowCache(t *testing.T) {
-	e := openTest(t, Options{RowCachePartitions: 4})
-	for i := 0; i < 10; i++ {
-		e.Put("hot", ck(i), []byte("v"))
-	}
-	e.Flush()
-	if _, err := e.ScanPartition("hot", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	touchedBefore := e.Metrics.SSTablesTouched.Load()
-	if _, err := e.ScanPartition("hot", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if e.Metrics.SSTablesTouched.Load() != touchedBefore {
-		t.Fatal("second scan hit the sstable despite row cache")
-	}
-	if e.Metrics.CacheHits.Load() == 0 {
-		t.Fatal("cache hit not recorded")
-	}
-	// A write to the partition must invalidate it.
-	e.Put("hot", ck(99), []byte("new"))
-	cells, _ := e.ScanPartition("hot", nil, nil)
-	if len(cells) != 11 {
-		t.Fatalf("stale cache served: %d cells want 11", len(cells))
 	}
 }
 

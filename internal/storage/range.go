@@ -214,10 +214,6 @@ func (e *Engine) CountRange(lo, hi int64) (int64, error) {
 // active memtable and survive, so callers must fence writers first
 // (the coordinator flips the topology epoch before retiring).
 func (e *Engine) DeleteRange(lo, hi int64) (int64, error) {
-	// Advancing the generation first fences concurrent reads out of the
-	// row cache: a read that started before the purge skips its cache
-	// fill when it sees the generation moved.
-	e.purgeGen.Add(1)
 	var removed int64
 	for _, s := range e.shards {
 		s.mu.Lock()
@@ -239,12 +235,6 @@ func (e *Engine) DeleteRange(lo, hi int64) (int64, error) {
 		}
 		removed += req.removed
 	}
-	// Advance the generation again now that the purge is complete: a
-	// read that loaded the generation mid-purge (and may have merged
-	// the doomed tables) must also fail its cache-fill check, or it
-	// would resurrect the partition right after the invalidation below.
-	e.purgeGen.Add(1)
-	e.cache().invalidateTokenRange(lo, hi)
 	return removed, nil
 }
 

@@ -105,7 +105,7 @@ func TestReadersRaceStructuralChurn(t *testing.T) {
 	})
 	// DeleteRange on a victim partition nobody else writes: after the
 	// purge returns, a read through any snapshot taken afterwards must
-	// miss — the purgeGen fence has to hold without the old read lock.
+	// miss, with no read lock held across the purge.
 	victim := "purge-victim"
 	vtok := PartitionToken(victim)
 	run(func(n int) {
@@ -203,7 +203,8 @@ func TestBlockCacheStressTinyCache(t *testing.T) {
 			}
 		})
 	}
-	// Scanners pulling whole partitions through the cache fill path.
+	// Scanners pulling whole partitions through the block cache's fill
+	// path.
 	run(func(n int) {
 		if _, err := e.ScanPartition(cpk(n), nil, nil); err != nil {
 			fail <- fmt.Sprintf("scan: %v", err)

@@ -155,31 +155,11 @@ func (FastCodec) Marshal(m Message) ([]byte, error) {
 		// No fields.
 	case *NodeStatsResponse:
 		out = enc.AppendUvarint(out, v.Epoch)
-		out = enc.AppendUvarint(out, uint64(len(v.Shards)))
-		for _, sh := range v.Shards {
-			out = enc.AppendUvarint(out, sh.MemtableBytes)
-			out = enc.AppendUvarint(out, uint64(sh.FrozenMemtables))
-			out = enc.AppendUvarint(out, uint64(sh.SSTables))
+		out = enc.AppendUvarint(out, uint64(len(v.Metrics)))
+		for _, m := range v.Metrics {
+			out = enc.AppendBytes(out, []byte(m.Name))
+			out = enc.AppendUvarint(out, m.Value)
 		}
-		out = enc.AppendUvarint(out, v.FlushedBytes)
-		out = enc.AppendUvarint(out, v.FlushCount)
-		out = enc.AppendUvarint(out, v.CompactionCount)
-		out = enc.AppendUvarint(out, v.CompactionBytesIn)
-		out = enc.AppendUvarint(out, v.CompactionBytesOut)
-		out = enc.AppendUvarint(out, uint64(len(v.LevelTables)))
-		for _, n := range v.LevelTables {
-			out = enc.AppendUvarint(out, uint64(n))
-		}
-		out = enc.AppendUvarint(out, uint64(len(v.LevelBytes)))
-		for _, n := range v.LevelBytes {
-			out = enc.AppendUvarint(out, n)
-		}
-		out = enc.AppendUvarint(out, v.CacheHits)
-		out = enc.AppendUvarint(out, v.CacheMisses)
-		out = enc.AppendUvarint(out, v.CacheEvictions)
-		out = enc.AppendUvarint(out, v.CacheBytes)
-		out = enc.AppendUvarint(out, v.BlockBytesLogical)
-		out = enc.AppendUvarint(out, v.BlockBytesStored)
 		out = enc.AppendUvarint(out, uint64(len(v.Peers)))
 		for _, p := range v.Peers {
 			out = enc.AppendUvarint(out, uint64(p.ID))
@@ -187,8 +167,6 @@ func (FastCodec) Marshal(m Message) ([]byte, error) {
 			out = enc.AppendUvarint(out, uint64(p.Suspicion))
 			out = enc.AppendUvarint(out, p.SinceMillis)
 		}
-		out = enc.AppendUvarint(out, v.DialCount)
-		out = enc.AppendUvarint(out, v.RedialCount)
 		out = enc.AppendBytes(out, []byte(v.ErrMsg))
 	case *JoinRequest:
 		out = enc.AppendUvarint(out, uint64(v.ID))
@@ -305,10 +283,9 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.Seq = uint32(d.uvarint())
 		v.NodeID = uint32(d.uvarint())
 		v.Elements = d.uvarint()
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Counts = make(map[uint8]uint64, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
+		if cnt := d.count(); cnt > 0 {
+			v.Counts = make(map[uint8]uint64, min(cnt, 256)) // 256 distinct keys at most
+			for i := 0; i < cnt && d.err == nil; i++ {
 				ty := d.byte()
 				v.Counts[ty] = d.uvarint()
 			}
@@ -347,45 +324,22 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.To = d.optBytes()
 		v.Epoch = d.uvarint()
 	case *ScanResponse:
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Cells = make([]row.Cell, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				c := row.Cell{CK: d.copyBytes(), Value: d.copyBytes()}
-				c.Ver, c.Tombstone = d.version()
-				v.Cells = append(v.Cells, c)
-			}
-		}
+		v.Cells = list(d, func(c *row.Cell) {
+			c.CK, c.Value = d.copyBytes(), d.copyBytes()
+			c.Ver, c.Tombstone = d.version()
+		})
 		v.ErrMsg = string(d.bytes())
 	case *BatchPutRequest:
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Entries = make([]row.Entry, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Entries = append(v.Entries, d.entry())
-			}
-		}
+		v.Entries = list(d, d.entry)
 		v.Epoch = d.uvarint()
 	case *BatchPutResponse:
 		v.Applied = d.uvarint()
 		v.ErrMsg = string(d.bytes())
 	case *MultiGetRequest:
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Keys = make([]GetKey, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Keys = append(v.Keys, GetKey{PK: string(d.bytes()), CK: d.copyBytes()})
-			}
-		}
+		v.Keys = list(d, func(k *GetKey) { *k = GetKey{PK: string(d.bytes()), CK: d.copyBytes()} })
 		v.Epoch = d.uvarint()
 	case *MultiGetResponse:
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Values = make([]MultiGetValue, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Values = append(v.Values, MultiGetValue{Value: d.copyBytes(), Found: d.byte() == 1})
-			}
-		}
+		v.Values = list(d, func(mv *MultiGetValue) { *mv = MultiGetValue{Value: d.copyBytes(), Found: d.byte() == 1} })
 		v.ErrMsg = string(d.bytes())
 	case *RingStateRequest:
 		// No fields.
@@ -402,13 +356,7 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.AfterPK = string(d.bytes())
 		v.MaxCells = uint32(d.uvarint())
 	case *StreamRangeResponse:
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Entries = make([]row.Entry, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Entries = append(v.Entries, d.entry())
-			}
-		}
+		v.Entries = list(d, d.entry)
 		v.NextToken = int64(d.uvarint())
 		v.NextPK = string(d.bytes())
 		v.More = d.byte() == 1
@@ -424,65 +372,16 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.Hi = int64(d.uvarint())
 		v.Depth = uint32(d.uvarint())
 	case *DigestResponse:
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Leaves = make([]DigestLeaf, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Leaves = append(v.Leaves, DigestLeaf{Hash: d.uvarint(), Cells: d.uvarint()})
-			}
-		}
+		v.Leaves = list(d, func(l *DigestLeaf) { *l = DigestLeaf{Hash: d.uvarint(), Cells: d.uvarint()} })
 		v.ErrMsg = string(d.bytes())
 	case *NodeStatsRequest:
 		// No fields.
 	case *NodeStatsResponse:
 		v.Epoch = d.uvarint()
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Shards = make([]ShardStat, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Shards = append(v.Shards, ShardStat{
-					MemtableBytes:   d.uvarint(),
-					FrozenMemtables: uint32(d.uvarint()),
-					SSTables:        uint32(d.uvarint()),
-				})
-			}
-		}
-		v.FlushedBytes = d.uvarint()
-		v.FlushCount = d.uvarint()
-		v.CompactionCount = d.uvarint()
-		v.CompactionBytesIn = d.uvarint()
-		v.CompactionBytesOut = d.uvarint()
-		if cnt := d.uvarint(); cnt > 0 {
-			v.LevelTables = make([]uint32, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.LevelTables = append(v.LevelTables, uint32(d.uvarint()))
-			}
-		}
-		if cnt := d.uvarint(); cnt > 0 {
-			v.LevelBytes = make([]uint64, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.LevelBytes = append(v.LevelBytes, d.uvarint())
-			}
-		}
-		v.CacheHits = d.uvarint()
-		v.CacheMisses = d.uvarint()
-		v.CacheEvictions = d.uvarint()
-		v.CacheBytes = d.uvarint()
-		v.BlockBytesLogical = d.uvarint()
-		v.BlockBytesStored = d.uvarint()
-		if cnt := d.uvarint(); cnt > 0 {
-			v.Peers = make([]PeerStat, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Peers = append(v.Peers, PeerStat{
-					ID:          uint32(d.uvarint()),
-					Up:          d.byte() == 1,
-					Suspicion:   uint32(d.uvarint()),
-					SinceMillis: d.uvarint(),
-				})
-			}
-		}
-		v.DialCount = d.uvarint()
-		v.RedialCount = d.uvarint()
+		v.Metrics = list(d, func(m *Metric) { *m = Metric{Name: string(d.bytes()), Value: d.uvarint()} })
+		v.Peers = list(d, func(p *PeerStat) {
+			*p = PeerStat{ID: uint32(d.uvarint()), Up: d.byte() == 1, Suspicion: uint32(d.uvarint()), SinceMillis: d.uvarint()}
+		})
 		v.ErrMsg = string(d.bytes())
 	case *JoinRequest:
 		v.ID = uint32(d.uvarint())
@@ -498,17 +397,9 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.RetireErr = string(d.bytes())
 		v.ErrMsg = string(d.bytes())
 	case *BeginMigrationRequest:
-		if cnt := d.uvarint(); cnt > 0 {
-			v.Moves = make([]Move, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Moves = append(v.Moves, Move{
-					Lo:   int64(d.uvarint()),
-					Hi:   int64(d.uvarint()),
-					From: uint32(d.uvarint()),
-					To:   uint32(d.uvarint()),
-				})
-			}
-		}
+		v.Moves = list(d, func(m *Move) {
+			*m = Move{Lo: int64(d.uvarint()), Hi: int64(d.uvarint()), From: uint32(d.uvarint()), To: uint32(d.uvarint())}
+		})
 		v.Nodes = d.nodeAddrs()
 	case *BeginMigrationResponse:
 		v.ErrMsg = string(d.bytes())
@@ -625,22 +516,48 @@ func (d *decoder) version() (row.Version, bool) {
 	return row.Version{Seq: seq, Node: node}, d.byte()&entryFlagTombstone != 0
 }
 
-// entry decodes one row.Entry written by appendEntry.
-func (d *decoder) entry() row.Entry {
-	e := row.Entry{PK: string(d.bytes()), CK: d.copyBytes(), Value: d.copyBytes()}
+// entry decodes into e one row.Entry written by appendEntry.
+func (d *decoder) entry(e *row.Entry) {
+	e.PK, e.CK, e.Value = string(d.bytes()), d.copyBytes(), d.copyBytes()
 	e.Ver, e.Tombstone = d.version()
-	return e
 }
 
 // nodeAddrs decodes an address book written by appendNodeAddrs.
 func (d *decoder) nodeAddrs() []NodeAddr {
-	cnt := d.uvarint()
+	return list(d, func(n *NodeAddr) { *n = NodeAddr{ID: uint32(d.uvarint()), Addr: string(d.bytes())} })
+}
+
+// maxPrealloc caps the capacity a decoded count reserves up front. A
+// count within the frame can still claim far more memory than the frame
+// holds (an 88-byte row.Entry per 1-byte slot), so a longer list grows
+// only as its elements actually decode.
+const maxPrealloc = 4096
+
+// count reads a list length. Every encoded element takes at least one
+// byte, so a count beyond the bytes left in the frame marks a malformed
+// frame: it fails with ErrTruncated instead of sizing an allocation.
+func (d *decoder) count() int {
+	n := d.uvarint()
+	if n > uint64(len(d.buf)) {
+		d.err = ErrTruncated
+		return 0
+	}
+	return int(n)
+}
+
+// list decodes a counted list; nil when empty. elem fills in each
+// element in place: returning every element by value through the
+// callback made batch decoding measurably slower than a plain loop.
+func list[T any](d *decoder, elem func(*T)) []T {
+	cnt := d.count()
 	if cnt == 0 {
 		return nil
 	}
-	nodes := make([]NodeAddr, 0, cnt)
-	for i := uint64(0); i < cnt && d.err == nil; i++ {
-		nodes = append(nodes, NodeAddr{ID: uint32(d.uvarint()), Addr: string(d.bytes())})
+	out := make([]T, 0, min(cnt, maxPrealloc))
+	for i := 0; i < cnt && d.err == nil; i++ {
+		var zero T
+		out = append(out, zero)
+		elem(&out[i])
 	}
-	return nodes
+	return out
 }

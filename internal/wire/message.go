@@ -565,51 +565,65 @@ type NodeStatsRequest struct{}
 // TypeID implements Message.
 func (*NodeStatsRequest) TypeID() uint16 { return TypeNodeStatsRequest }
 
-// ShardStat is one engine shard's load snapshot.
-type ShardStat struct {
-	MemtableBytes   uint64
-	FrozenMemtables uint32
-	SSTables        uint32
+// NodeStatsResponse is a node's load and health summary: its ring
+// epoch, its liveness view of the other members, and a flat list of
+// named metrics. The coordinator reads memtable_bytes to pick the
+// least write-loaded streaming source among a range's replicas;
+// `kvstore status` prints a summary. A new metric is one more entry in
+// the node's list — neither codec nor this type changes.
+//
+// Names follow Prometheus conventions: a cumulative counter ends in
+// _total, a gauge is a current level, and byte quantities say _bytes.
+// Every value is a node-wide aggregate. The names a node emits:
+//
+//	memtable_bytes          active plus frozen memtable payload
+//	frozen_memtables        memtables queued for flush
+//	sstables                SSTables across all levels
+//	l<N>_tables             level N's table count, one per level (L0
+//	                        is the flush landing zone)
+//	l<N>_bytes              level N's size
+//	cache_bytes             block-cache resident bytes
+//	flushes_total           memtable flushes
+//	flushed_bytes_total     memtable payload flushed
+//	compactions_total       compactions (leveled, major and purge)
+//	compact_in_bytes_total  table bytes read by compactions
+//	compact_out_bytes_total table bytes written by compactions; over
+//	                        flushed_bytes_total, the write-amp factor
+//	cache_hits_total        block-cache hits
+//	cache_misses_total      block-cache misses
+//	cache_evictions_total   block-cache evictions
+//	block_raw_bytes_total   data-block bytes written, uncompressed
+//	block_disk_bytes_total  the same blocks as stored; over raw, the
+//	                        on-disk compression ratio
+//	dials_total             first dials of outbound peer connections
+//	redials_total           re-dials after a broken peer connection;
+//	                        a climbing count is the bounced-peer signal
+//	topology_persist_failures_total
+//	                        epoch installs whose topology file write failed
+//	repair_failures_total   self-scheduled repair passes that failed
+type NodeStatsResponse struct {
+	Epoch   uint64
+	Metrics []Metric
+	// Peers is the node's liveness view of the other ring members
+	// (empty when probing is disabled).
+	Peers  []PeerStat
+	ErrMsg string
 }
 
-// NodeStatsResponse summarizes a node's engine: per-shard backlog plus
-// cumulative flush/compaction work. The coordinator uses it to pick the
-// least-loaded streaming source among a range's replicas; deployments
-// read the level layout and compaction byte counters to watch
-// compaction debt and write amplification.
-type NodeStatsResponse struct {
-	Epoch           uint64
-	Shards          []ShardStat
-	FlushedBytes    uint64
-	FlushCount      uint64
-	CompactionCount uint64
-	// CompactionBytesIn/Out are cumulative merge input/output volume —
-	// Out over FlushedBytes approximates the node's write-amplification
-	// factor.
-	CompactionBytesIn  uint64
-	CompactionBytesOut uint64
-	// LevelTables/LevelBytes describe the engine's level tree aggregated
-	// across shards; index = level, level 0 is the flush landing zone.
-	LevelTables []uint32
-	LevelBytes  []uint64
-	// Block-cache and compression observability: the shared block
-	// cache's cumulative counters and current resident bytes, plus the
-	// logical-vs-stored volume of every data block the engine wrote
-	// (Stored over Logical is the on-disk compression ratio).
-	CacheHits         uint64
-	CacheMisses       uint64
-	CacheEvictions    uint64
-	CacheBytes        uint64
-	BlockBytesLogical uint64
-	BlockBytesStored  uint64
-	// Peers is the node's liveness view of the other ring members (empty
-	// when probing is disabled). DialCount/RedialCount are cumulative
-	// outbound peer connections: first dials plus re-dials after a broken
-	// connection — a rising redial count is the bounced-peer signal.
-	Peers       []PeerStat
-	DialCount   uint64
-	RedialCount uint64
-	ErrMsg      string
+// Metric is one named node metric.
+type Metric struct {
+	Name  string
+	Value uint64
+}
+
+// Metric returns the value of the named metric, 0 when absent.
+func (r *NodeStatsResponse) Metric(name string) uint64 {
+	for _, m := range r.Metrics {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return 0
 }
 
 // PeerStat is one peer's health as seen by the reporting node: up or

@@ -177,13 +177,13 @@ func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 	}
 	tag := data[0]
 	data = data[1:]
+	if !tagFits(tag, v) {
+		return nil, fmt.Errorf("wire: tag %d into %v in slow stream", tag, v.Type())
+	}
 	switch tag {
 	case tagBool:
 		if len(data) < 1 {
 			return nil, ErrTruncated
-		}
-		if v.Kind() != reflect.Bool {
-			return nil, fmt.Errorf("wire: bool into %v", v.Kind())
 		}
 		v.SetBool(data[0] == 1)
 		return data[1:], nil
@@ -226,13 +226,17 @@ func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 			data = data[n:] // element type string, informational
 		}
 		ln, n := enc.Uvarint(data)
-		if n <= 0 {
-			return nil, ErrTruncated
+		if n <= 0 || ln > uint64(len(data)-n) {
+			return nil, ErrTruncated // every element takes at least its tag byte
 		}
 		data = data[n:]
-		sl := reflect.MakeSlice(v.Type(), int(ln), int(ln))
+		if ln == 0 {
+			return data, nil // an empty list decodes as nil, like tagBytes
+		}
+		sl := reflect.MakeSlice(v.Type(), 0, int(min(ln, maxPrealloc)))
 		var err error
-		for i := 0; i < int(ln); i++ {
+		for i := 0; uint64(i) < ln; i++ {
+			sl = reflect.Append(sl, reflect.Zero(v.Type().Elem()))
 			if data, err = decodeValue(data, sl.Index(i)); err != nil {
 				return nil, err
 			}
@@ -248,11 +252,11 @@ func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 			data = data[n:]
 		}
 		ln, n := enc.Uvarint(data)
-		if n <= 0 {
+		if n <= 0 || ln > uint64(len(data)-n) {
 			return nil, ErrTruncated
 		}
 		data = data[n:]
-		mp := reflect.MakeMapWithSize(v.Type(), int(ln))
+		mp := reflect.MakeMapWithSize(v.Type(), int(min(ln, maxPrealloc)))
 		var err error
 		for i := 0; i < int(ln); i++ {
 			k := reflect.New(v.Type().Key()).Elem()
@@ -287,7 +291,7 @@ func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 			data = data[n2:]
 			// The deliberate Java-like cost: by-name lookup per field.
 			f := v.FieldByName(string(nameB))
-			if !f.IsValid() {
+			if !f.IsValid() || !f.CanSet() {
 				return nil, fmt.Errorf("wire: unknown field %q in slow stream", nameB)
 			}
 			if data, err = decodeValue(data, f); err != nil {
@@ -298,4 +302,30 @@ func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("wire: bad tag %d in slow stream", tag)
 	}
+}
+
+// tagFits reports whether a value tagged tag may decode into v. A
+// mismatch is a malformed stream: reflect's setters would panic on it.
+func tagFits(tag byte, v reflect.Value) bool {
+	switch k := v.Kind(); tag {
+	case tagBool:
+		return k == reflect.Bool
+	case tagInt:
+		return k >= reflect.Int && k <= reflect.Int64
+	case tagUint:
+		return k >= reflect.Uint && k <= reflect.Uint64
+	case tagFloat:
+		return k == reflect.Float32 || k == reflect.Float64
+	case tagString:
+		return k == reflect.String
+	case tagBytes:
+		return k == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint8
+	case tagSlice:
+		return k == reflect.Slice
+	case tagMap:
+		return k == reflect.Map
+	case tagStruct:
+		return k == reflect.Struct
+	}
+	return false
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"scalekv/internal/enc"
 	"scalekv/internal/row"
 )
 
@@ -70,14 +72,22 @@ func sampleMessages() []Message {
 		&DeleteRangeResponse{Removed: 1234},
 		&DeleteRangeResponse{ErrMsg: "boom"},
 		&NodeStatsRequest{},
-		&NodeStatsResponse{Epoch: 2, Shards: []ShardStat{
-			{MemtableBytes: 1 << 20, FrozenMemtables: 2, SSTables: 5},
-			{MemtableBytes: 0, FrozenMemtables: 0, SSTables: 1},
-		}, FlushedBytes: 9 << 20, FlushCount: 7, CompactionCount: 1,
-			CompactionBytesIn: 3 << 20, CompactionBytesOut: 2 << 20,
-			LevelTables: []uint32{4, 2, 1}, LevelBytes: []uint64{1 << 20, 9 << 20, 80 << 20},
-			CacheHits: 12345, CacheMisses: 678, CacheEvictions: 90, CacheBytes: 48 << 20,
-			BlockBytesLogical: 10 << 20, BlockBytesStored: 6 << 20},
+		// Every metric a node emits, for a node with three levels.
+		&NodeStatsResponse{Epoch: 2, Metrics: []Metric{
+			{"memtable_bytes", 3 << 20}, {"frozen_memtables", 2}, {"sstables", 7},
+			{"l0_tables", 4}, {"l0_bytes", 1 << 20},
+			{"l1_tables", 2}, {"l1_bytes", 9 << 20},
+			{"l2_tables", 1}, {"l2_bytes", 80 << 20},
+			{"cache_bytes", 48 << 20},
+			{"flushes_total", 75}, {"flushed_bytes_total", 300 << 20},
+			{"compactions_total", 12}, {"compact_in_bytes_total", 410 << 20},
+			{"compact_out_bytes_total", 380 << 20},
+			{"cache_hits_total", 123456}, {"cache_misses_total", 6789},
+			{"cache_evictions_total", 5120},
+			{"block_raw_bytes_total", 690 << 20}, {"block_disk_bytes_total", 350 << 20},
+			{"dials_total", 3}, {"redials_total", 1},
+			{"topology_persist_failures_total", 0}, {"repair_failures_total", 2},
+		}},
 		// Versioned cells and tombstones: the fields every replica's
 		// last-write-wins merge depends on must survive both codecs.
 		&DeleteRequest{PK: "p", CK: []byte{1, 2, 3}, Epoch: 11},
@@ -136,7 +146,7 @@ func sampleMessages() []Message {
 		&NodeStatsResponse{Epoch: 3, Peers: []PeerStat{
 			{ID: 1, Up: true, SinceMillis: 120000},
 			{ID: 2, Up: false, Suspicion: 5, SinceMillis: 900},
-		}, DialCount: 12, RedialCount: 3},
+		}, Metrics: []Metric{{"dials_total", 12}, {"redials_total", 3}}},
 	}
 }
 
@@ -285,17 +295,11 @@ func normalize(m Message) Message {
 		return &out
 	case *NodeStatsResponse:
 		out := *v
-		if len(out.Shards) == 0 {
-			out.Shards = nil
+		if len(out.Metrics) == 0 {
+			out.Metrics = nil
 		}
 		if len(out.Peers) == 0 {
 			out.Peers = nil
-		}
-		if len(out.LevelTables) == 0 {
-			out.LevelTables = nil
-		}
-		if len(out.LevelBytes) == 0 {
-			out.LevelBytes = nil
 		}
 		return &out
 	case *BeginMigrationRequest:
@@ -361,6 +365,138 @@ func TestTruncatedFrames(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDecodeRejectsHugeCounts: a list or map count larger than the rest
+// of the frame is a malformed frame. Decoding it must fail, not size an
+// allocation from it (which panics and takes the node down with it).
+func TestDecodeRejectsHugeCounts(t *testing.T) {
+	const huge = 1 << 62
+	// Fast frames: type ID, the fields before the first list, the count.
+	fast := map[string][]byte{}
+	for _, f := range []struct {
+		name   string
+		prefix []byte
+	}{
+		{"CountResponse", []byte{byte(TypeCountResponse), 0, 0, 0, 0}},
+		{"ScanResponse", []byte{byte(TypeScanResponse)}},
+		{"BatchPutRequest", []byte{byte(TypeBatchPutRequest)}},
+		{"MultiGetRequest", []byte{byte(TypeMultiGetRequest)}},
+		{"MultiGetResponse", []byte{byte(TypeMultiGetResponse)}},
+		{"RingStateResponse", []byte{byte(TypeRingStateResponse), 0, 0, 0}},
+		{"StreamRangeResponse", []byte{byte(TypeStreamRangeResponse)}},
+		{"DigestResponse", []byte{byte(TypeDigestResponse)}},
+		{"NodeStatsResponse", []byte{byte(TypeNodeStatsResponse), 0}},
+		{"BeginMigrationRequest", []byte{byte(TypeBeginMigrationRequest)}},
+	} {
+		fast[f.name] = enc.AppendUvarint(f.prefix, huge)
+		// A small count that still overruns the frame by one element.
+		fast[f.name+"/overrun"] = append(enc.AppendUvarint(f.prefix, 3), 1, 1)
+	}
+	// Slow streams: a one-field struct; body is what follows the
+	// field's name and type.
+	slowStream := func(msg, field, typ string, body ...[]byte) []byte {
+		out := enc.AppendBytes(nil, []byte(msg))
+		out = append(out, tagStruct, 1)
+		out = enc.AppendBytes(out, []byte(field))
+		out = enc.AppendBytes(out, []byte(typ))
+		for _, b := range body {
+			out = append(out, b...)
+		}
+		return out
+	}
+	str := func(s string) []byte { return enc.AppendBytes(nil, []byte(s)) }
+	slow := map[string][]byte{
+		"BatchPutRequest": slowStream("wire.BatchPutRequest", "Entries", "[]row.Entry",
+			[]byte{tagSlice}, str("row.Entry"), enc.AppendUvarint(nil, huge)),
+		"CountResponse": slowStream("wire.CountResponse", "Counts", "map[uint8]uint64",
+			[]byte{tagMap}, str("uint8"), str("uint64"), enc.AppendUvarint(nil, huge)),
+		// A tag that does not fit the field's kind: a string into uint64.
+		"CountRequest/kind": slowStream("wire.CountRequest", "QueryID", "uint64", []byte{tagString}, str("x")),
+	}
+	for _, tc := range []struct {
+		c      Codec
+		frames map[string][]byte
+	}{{FastCodec{}, fast}, {SlowCodec{}, slow}} {
+		for name, frame := range tc.frames {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s %s: decode panicked: %v", tc.c.Name(), name, r)
+					}
+				}()
+				if m, err := tc.c.Unmarshal(frame); err == nil {
+					t.Errorf("%s %s: decoded a malformed frame as %#v", tc.c.Name(), name, m)
+				}
+			}()
+		}
+	}
+}
+
+// TestDecodeAllocationBoundedByFrame: a count that fits the frame but
+// has no elements behind it must not reserve memory for them. At one
+// 88-byte row.Entry per frame byte, a 64 MB frame would claim 5.6 GB.
+func TestDecodeAllocationBoundedByFrame(t *testing.T) {
+	const size = 1 << 20
+	fast := enc.AppendUvarint([]byte{byte(TypeBatchPutRequest)}, size-8)
+	slow := enc.AppendBytes(nil, []byte("wire.BatchPutRequest"))
+	slow = append(slow, tagStruct, 1)
+	slow = enc.AppendBytes(slow, []byte("Entries"))
+	slow = enc.AppendBytes(slow, []byte("[]row.Entry"))
+	slow = append(slow, tagSlice)
+	slow = enc.AppendBytes(slow, []byte("row.Entry"))
+	slow = enc.AppendUvarint(slow, size-64)
+	for _, tc := range []struct {
+		c     Codec
+		frame []byte
+	}{{FastCodec{}, fast}, {SlowCodec{}, slow}} {
+		// 0xFF bytes never finish a uvarint, so the first element fails.
+		frame := append(tc.frame, bytes.Repeat([]byte{0xFF}, size-len(tc.frame))...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tc.c.Unmarshal(frame)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded a malformed frame", tc.c.Name())
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*size {
+			t.Errorf("%s: decoding a %d-byte frame allocated %d bytes", tc.c.Name(), len(frame), got)
+		}
+	}
+}
+
+// FuzzCodecs feeds arbitrary bytes to both codecs. Decoding never
+// panics, and a frame a codec accepts re-encodes to one it decodes back
+// to the same message.
+func FuzzCodecs(f *testing.F) {
+	for _, m := range sampleMessages() {
+		for _, c := range codecs {
+			data, err := c.Marshal(m)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range codecs {
+			m, err := c.Unmarshal(data)
+			if err != nil {
+				continue
+			}
+			again, err := c.Marshal(m)
+			if err != nil {
+				t.Fatalf("%s: re-marshal %T: %v", c.Name(), m, err)
+			}
+			back, err := c.Unmarshal(again)
+			if err != nil {
+				t.Fatalf("%s: decode of re-marshalled %T: %v", c.Name(), m, err)
+			}
+			if !reflect.DeepEqual(normalize(m), normalize(back)) {
+				t.Fatalf("%s: round trip\n in: %#v\nout: %#v", c.Name(), m, back)
+			}
+		}
+	})
 }
 
 func TestSlowStreamIsSelfDescribing(t *testing.T) {
